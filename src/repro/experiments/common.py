@@ -19,6 +19,7 @@ worker pool; the experiment modules themselves never notice.
 import contextlib
 import os
 
+from repro.util.errors import RecoveryExhausted
 from repro.util.units import KB, MB
 from repro.workloads.parboil import PARBOIL
 from repro.experiments.spec import RunSpec
@@ -165,6 +166,30 @@ def store(spec, outcome):
     if cache is not None:
         cache.put(spec, outcome)
     return outcome
+
+
+def attempt(spec):
+    """Execute ``spec``; a recovery that gives up returns its typed error.
+
+    Every executor shape runs specs through this, so one spec's
+    :class:`RecoveryExhausted` cannot abort the rest of a sweep; any
+    other exception still propagates.
+    """
+    try:
+        return spec.execute()
+    except RecoveryExhausted as error:
+        return error
+
+
+def commit(spec, result):
+    """Store an :func:`attempt`'s outcome (executor merge path).
+
+    A spec that gave up stays unstored: :func:`run_spec` runs it again,
+    deterministically, and raises the same typed error into the
+    experiment's gave-up handling.
+    """
+    if not isinstance(result, RecoveryExhausted):
+        store(spec, result)
 
 
 def run_spec(spec):

@@ -24,7 +24,11 @@ independent :class:`~repro.experiments.spec.RunSpec` values (its
    land and the merge restores spec order at the end, so any pool shape
    leaves the caches (and therefore every rendered table) byte-identical
    to a serial sweep.  The pool shape is *engine* configuration: it never
-   joins a :class:`RunSpec` or its cache key.
+   joins a :class:`RunSpec` or its cache key.  A spec whose recovery
+   gives up (:class:`~repro.util.errors.RecoveryExhausted`) does not stop
+   the sweep: it stays out of the caches and counts under ``gave_up``;
+   :func:`~repro.experiments.common.run_spec` then runs it again and
+   raises the same typed error into the experiment's gave-up row.
 
 The experiments themselves then run unmodified: their ``run()`` functions
 call :func:`repro.experiments.common.run_spec`, which finds every outcome
@@ -40,11 +44,6 @@ from repro.sim.tracing import HostCounters
 
 #: The executor's pool shapes (the CLI's ``--pool`` choices).
 POOL_KINDS = ("persistent", "fork", "serial")
-
-
-def _execute_spec(spec):
-    """Worker entry point: one spec, one fresh machine (no caching here)."""
-    return spec.execute()
 
 
 def expand(experiment_ids, quick=False, devices=None):
@@ -95,7 +94,8 @@ class ExperimentExecutor:
             self.cache = ResultCache(cache_dir)
         else:
             self.cache = common.persistent_cache()
-        self.stats = {"expanded": 0, "reused": 0, "executed": 0}
+        self.stats = {"expanded": 0, "reused": 0, "executed": 0,
+                      "gave_up": 0}
         self.counters = HostCounters()
         self._pool = None
 
@@ -161,6 +161,9 @@ class ExperimentExecutor:
             "expanded": len(specs),
             "reused": len(specs) - len(missing),
             "executed": len(missing),
+            # Any other failure raised above: only a spec whose recovery
+            # gave up is left unstored.
+            "gave_up": sum(common.peek(spec) is None for spec in missing),
         }
         return self.stats
 
@@ -168,9 +171,9 @@ class ExperimentExecutor:
         timings = {}
         for spec in missing:
             started = time.perf_counter()  # sanitizer: allow[R003]
-            outcome = spec.execute()
+            result = common.attempt(spec)
             timings[spec] = time.perf_counter() - started  # sanitizer: allow[R003]
-            common.store(spec, outcome)
+            common.commit(spec, result)
         self._record_timings(timings)
 
     def _legacy_pool_prime(self, missing):
@@ -186,16 +189,16 @@ class ExperimentExecutor:
         context = multiprocessing.get_context("fork")
         processes = min(self.jobs, len(missing))
         with context.Pool(processes=processes) as worker_pool:
-            outcomes = worker_pool.map(_execute_spec, missing)
-        for spec, outcome in zip(missing, outcomes):
-            common.store(spec, outcome)
+            results = worker_pool.map(common.attempt, missing)
+        for spec, result in zip(missing, results):
+            common.commit(spec, result)
 
     def _persistent_prime(self, missing):
         """Dispatch ``missing`` on the persistent engine, streaming merge."""
         from repro.experiments.pool import StreamingMerge
 
         engine = self._ensure_pool(missing)
-        merge = StreamingMerge(missing, commit=common.store)
+        merge = StreamingMerge(missing, commit=common.commit)
         timings = {}
 
         def on_result(seq, outcome, host_s):

@@ -124,7 +124,10 @@ def _worker_main(worker_id, token, tasks, results, slab_name, slab_size,
     Control messages are small tuples ``(kind, worker_id, token, ...)``:
     ``ready`` (startup, carries the memo-rebuild count), ``done`` (payload
     in the slab), ``inline`` (payload rode the queue: slab too small),
-    ``error`` (spec raised).  ``token`` is this incarnation's spawn serial
+    ``error`` (spec raised).  A spec whose recovery gave up is a payload,
+    not an error: :func:`~repro.experiments.common.attempt` returns its
+    :class:`~repro.util.errors.RecoveryExhausted` for the parent's merge
+    to commit.  ``token`` is this incarnation's spawn serial
     — the parent drops messages whose token no longer matches the worker
     at this id, so a crashed worker's last message can never be read
     against its replacement's slab.  Host-seconds ride along for the
@@ -132,6 +135,7 @@ def _worker_main(worker_id, token, tasks, results, slab_name, slab_size,
     """
     from repro.util.hostalloc import retain_arena
     from repro.analysis.report import REPORT_TOKEN_ENV
+    from repro.experiments.common import attempt
 
     # Sanitize reports: each worker incarnation writes under its own
     # token.  Pids recycle across respawns (and collide with unrelated
@@ -154,7 +158,7 @@ def _worker_main(worker_id, token, tasks, results, slab_name, slab_size,
             seq, spec = task
             started = time.perf_counter()  # sanitizer: allow[R003]
             try:
-                outcome = spec.execute()
+                outcome = attempt(spec)
             except Exception as error:
                 results.put(
                     ("error", worker_id, token, seq, _portable_error(error))
@@ -341,7 +345,8 @@ class PersistentWorkerPool:
         returns whether the deposit was the first for that seq (see
         :meth:`StreamingMerge.deposit`); the pool loops until every seq
         has landed exactly once.  A spec exception propagates to the
-        caller after the pool shuts down (matching ``Pool.map``).
+        caller after the pool shuts down (matching ``Pool.map``); a
+        recovery that gave up lands as a result instead.
         """
         if not self.started:
             raise RuntimeError("pool not started")

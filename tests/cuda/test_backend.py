@@ -12,10 +12,14 @@ import sys
 import types
 from dataclasses import asdict
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.cuda import backend
 from repro.experiments.spec import RunSpec
+from repro.workloads.parboil import pns
 
 
 @pytest.fixture(autouse=True)
@@ -169,3 +173,72 @@ class TestGoldenEquivalence:
         _clear_kernel_memos()
         assert plain["verified"] is True
         assert compiled == plain
+
+
+#: Any int32: a host may write any value into the pns marking.
+INT32 = st.integers(-(2 ** 31), 2 ** 31 - 1)
+
+
+def _int32_rounds(marking, seeds):
+    """K sequential rounds of the int32 oracle rule."""
+    state = marking.copy()
+    # The oracle folds ``FIRE_INCREMENT + seed`` as an int32 scalar, which
+    # wraps (and warns) for seeds near the int32 limit.
+    with np.errstate(over="ignore"):
+        for seed in seeds:
+            state = pns.fire_step(state, seed)
+    return state
+
+
+def _widened(narrow, like):
+    """The kernel's writeback: the uint8 marking stored into int32 lanes."""
+    assert narrow.dtype == np.uint8
+    marking = np.empty_like(like)
+    marking[:] = narrow
+    return marking
+
+
+@pytest.fixture
+def compiled_sweep(monkeypatch):
+    """The compiled pns sweep, built through the stub-numba seam."""
+    _activate_stub(monkeypatch)
+    sweep = backend.compiled("pns-sweep", pns._build_compiled_sweep)
+    assert sweep is not None
+    return sweep
+
+
+class TestPnsEngines:
+    """The kernel's uint8 engine, the compiled sweep and the int32 oracle
+    compute the same markings, byte for byte."""
+
+    # The fixture builds one pure routine; nothing in it varies per example.
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        marking=arrays(np.int32, st.integers(1, 48), elements=INT32),
+        seeds=arrays(np.int32, st.integers(1, 24), elements=INT32),
+    )
+    def test_all_engines_match_int32_rounds(
+            self, compiled_sweep, marking, seeds):
+        expected = _int32_rounds(marking, seeds).tobytes()
+        narrow = pns.fire_rounds(marking, seeds)
+        assert _widened(narrow, marking).tobytes() == expected
+        compiled = compiled_sweep(marking, seeds, np.empty_like(marking))
+        assert compiled.tobytes() == expected
+
+    def test_single_place_rotates_onto_itself(self):
+        marking = np.array([-7], dtype=np.int32)
+        seeds = np.array([3, 2 ** 31 - 1], dtype=np.int32)
+        expected = _int32_rounds(marking, seeds)
+        assert _widened(pns.fire_rounds(marking, seeds), marking).tobytes() \
+            == expected.tobytes()
+
+    def test_paper_size_sweep(self):
+        rng = np.random.default_rng(2010)
+        marking = rng.integers(
+            -(2 ** 31), 2 ** 31, size=2 * 1024 * 1024, dtype=np.int64
+        ).astype(np.int32)
+        seeds = rng.integers(0, 1 << 16, size=16, dtype=np.int32)
+        expected = _int32_rounds(marking, seeds)
+        narrow = pns.fire_rounds(marking, seeds)
+        assert np.array_equal(_widened(narrow, marking), expected)

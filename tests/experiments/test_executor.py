@@ -11,12 +11,15 @@ The engine's contract (ISSUE acceptance criteria):
   project the same protocol runs).
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.experiments import common
 from repro.experiments.cache import ResultCache
 from repro.experiments.executor import ExperimentExecutor, expand
-from repro.experiments.spec import RunSpec
+from repro.experiments.spec import RunSpec, WORKLOAD_FACTORIES
+from repro.util.errors import RecoveryExhausted
 from repro.workloads import base as workload_base
 
 EXPERIMENTS = ["fig7", "fig12"]
@@ -75,6 +78,80 @@ class TestWarmCache:
         common.clear_cache()
         assert uncached.stats["executed"] == first["expanded"]
         assert workload_base.EXECUTIONS == before + first["expanded"]
+
+
+#: A spec whose recovery gives up: under a 25% transfer-fault storm, pns
+#: spends all nine attempts of one flush of its marking.
+EXHAUSTED = RunSpec.make(
+    workload="pns",
+    params=dict(common.QUICK_PARAMS["pns"], seed=65017),
+    protocol="rolling",
+    layer="driver",
+    fault_plan=dict(seed=65027, transfer_fault_rate=0.25),
+    recovery=dict(degrade_min_attempts=8, degrade_threshold=0.15),
+)
+
+#: (pool shape, jobs) for every executor shape.
+SHAPES = [
+    ("serial", 1),
+    ("persistent", 2),
+    pytest.param("fork", 2, marks=pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork start method",
+    )),
+]
+
+
+def _healthy(elements):
+    return RunSpec.make(
+        workload="vecadd", params={"elements": elements}, layer="driver",
+    )
+
+
+class TestGaveUp:
+    """One spec's RecoveryExhausted is that spec's result, not the sweep's."""
+
+    @pytest.mark.parametrize("pool, jobs", SHAPES)
+    def test_exhausted_spec_does_not_abort_the_sweep(
+            self, pool, jobs, tmp_path):
+        healthy = [_healthy(4096), _healthy(8192)]
+        specs = [healthy[0], EXHAUSTED, healthy[1]]
+        common.clear_cache()
+        executor = ExperimentExecutor(jobs=jobs, cache_dir=tmp_path, pool=pool)
+        try:
+            with executor.cache_context():
+                stats = executor.prime(specs)
+                assert stats == {"expanded": 3, "reused": 0, "executed": 3,
+                                 "gave_up": 1}
+                assert all(common.peek(spec).verified for spec in healthy)
+                assert common.peek(EXHAUSTED) is None
+                # What an experiment's run() meets: the typed error its
+                # gave-up handling turns into a row.
+                with pytest.raises(RecoveryExhausted) as excinfo:
+                    common.run_spec(EXHAUSTED)
+                assert excinfo.value.attempts == 9
+        finally:
+            executor.close()
+            common.clear_cache()
+        assert ResultCache(tmp_path).get(EXHAUSTED) is None
+
+    @pytest.mark.parametrize("pool, jobs", SHAPES[:2])
+    def test_other_errors_still_propagate(
+            self, pool, jobs, tmp_path, monkeypatch):
+        def broken(**_params):
+            raise ValueError("not a recovery failure")
+
+        monkeypatch.setitem(WORKLOAD_FACTORIES, "broken", broken)
+        specs = [_healthy(4096), RunSpec.make("broken", layer="driver")]
+        common.clear_cache()
+        executor = ExperimentExecutor(jobs=jobs, cache_dir=tmp_path, pool=pool)
+        try:
+            with executor.cache_context():
+                with pytest.raises(ValueError, match="not a recovery"):
+                    executor.prime(specs)
+        finally:
+            executor.close()
+            common.clear_cache()
 
 
 class TestExpansion:

@@ -113,7 +113,8 @@ class TestEngine:
             warm.prime(specs)
         warm.close()
         common.clear_cache()
-        assert warm.stats == {"expanded": 3, "reused": 3, "executed": 0}
+        assert warm.stats == {"expanded": 3, "reused": 3, "executed": 0,
+                              "gave_up": 0}
         assert warm.counters.get("workers_spawned") == 0
         assert warm.counters.get("warm_hits") == 3
 

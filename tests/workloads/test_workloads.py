@@ -4,6 +4,7 @@ These are the correctness gates behind Figures 7-12: a protocol bug shows
 up here as a numerical mismatch.
 """
 
+import numpy as np
 import pytest
 
 from repro.util.units import KB, MB
@@ -11,7 +12,9 @@ from repro.hw.machine import reference_system, integrated_system
 from repro.workloads.vecadd import VectorAdd, transfer_phase_times
 from repro.workloads.stencil3d import Stencil3D
 from repro.experiments.common import make_workload, QUICK_PARAMS
-from repro.workloads.parboil import PARBOIL
+from repro.workloads import base as workload_base
+from repro.workloads.base import ValueMemo
+from repro.workloads.parboil import PARBOIL, pns
 
 MODES = [("cuda", None), ("gmac", "batch"), ("gmac", "lazy"),
          ("gmac", "rolling")]
@@ -68,6 +71,31 @@ class TestParboilShapes:
         total = sum(result.breakdown.values())
         # prepare() charges nothing; everything inside execute is accounted.
         assert total == pytest.approx(result.elapsed, rel=0.05)
+
+
+class TestPnsOracleIndependence:
+    """The pns oracle computes with the int32 rule, never the kernel's
+    narrow engine: a corrupted kernel must fail verification."""
+
+    @pytest.mark.parametrize("mode", ["cuda", "gmac"])
+    def test_corrupted_kernel_engine_fails_verification(
+            self, mode, monkeypatch):
+        expected = make_workload("pns", quick=True).reference()
+        # Fresh memos: no stored sweep or oracle from an intact run may
+        # answer for the corrupted one, and none of its outputs outlive it.
+        monkeypatch.setattr(pns, "_SWEEP_MEMO", ValueMemo())
+        monkeypatch.setattr(workload_base, "_REFERENCE_CACHE", {})
+        monkeypatch.setattr(
+            pns, "NARROW_MULTIPLIER", pns.NARROW_MULTIPLIER ^ np.uint8(2)
+        )
+        workload = make_workload("pns", quick=True)
+        result = workload.execute(mode=mode, protocol="rolling")
+        assert not result.verified
+        oracle = workload.reference()
+        assert np.array_equal(oracle["samples"], expected["samples"])
+        assert np.array_equal(
+            oracle["final_marking"], expected["final_marking"]
+        )
 
 
 class TestVectorAdd:
