@@ -195,13 +195,15 @@ class _KernelScan(ast.NodeVisitor):
         self.visit(node.value)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        # ``view[i] += x`` both reads and writes the parameter.
-        if isinstance(node.target, ast.Subscript):
-            param = self._view_of(node.target.value)
-            if param is not None:
-                self.reads.add(param)
-                self.writes.add(param)
-                self._consumed.add(id(node.target.value))
+        # ``view[i] += x`` and ``view += x`` both read and write the
+        # parameter (numpy updates an array alias in place).
+        target = node.target
+        base = target.value if isinstance(target, ast.Subscript) else target
+        param = self._view_of(base)
+        if param is not None:
+            self.reads.add(param)
+            self.writes.add(param)
+            self._consumed.add(id(base))
         self.generic_visit(node)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:

@@ -231,7 +231,7 @@ class GmacInterposer:
             # Borrow the device bytes; the file write is the only copy.
             context = self.gmac.layer.context_for(block.region.owner)
             data = context.gpu.memory.view(
-                block.device_start, np.uint8, block.size
+                block.device_start, np.uint8, block.size, writable=False
             )
             context.link.transfer(
                 len(data), Direction.D2H, label="peer-dma"

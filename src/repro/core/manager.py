@@ -578,7 +578,8 @@ class Manager:
                 # The views are observation barriers: any deferred kernel
                 # numerics on either device replay before bytes move.
                 data = src_ctx.gpu.memory.view(
-                    region.device_start, "u1", region.mapped_size
+                    region.device_start, "u1", region.mapped_size,
+                    writable=False,
                 )
                 dst_ctx.gpu.memory.view(
                     new_start, "u1", region.mapped_size

@@ -23,7 +23,9 @@ class Kernel:
     zero.  ``writes`` optionally names the pointer arguments the kernel
     writes — the hook Section 4.3 suggests for compiler/programmer
     annotations that avoid needless transfers (used by the annotation
-    ablation, not by the core protocols).
+    ablation, not by the core protocols).  It is enforced: while a kernel
+    that declares ``writes`` runs, its device views of every other
+    pointer argument are read-only, so an undeclared write raises.
 
     ``batched_fn(gpu, args_list)`` optionally evaluates a run of
     consecutive deferred launches in one pass; it must produce device

@@ -7,14 +7,42 @@ Usage::
     python -m repro.experiments fig7 --quick    # shrunk sizes
     python -m repro.experiments all --jobs 4    # parallel sweep
     python -m repro.experiments all --no-cache  # ignore the result cache
+
+The exit status is non-zero when any primed outcome fails verification
+against its oracle; the failing specs are named on stderr.
 """
 
 import argparse
 import sys
 import time
 
+from repro.experiments import common
 from repro.experiments.registry import REGISTRY, run_experiment
 from repro.experiments.executor import ExperimentExecutor, expand
+
+
+def unverified(specs):
+    """The specs whose primed outcome failed oracle verification.
+
+    A spec whose recovery gave up has no outcome and is not among them.
+    """
+    return [
+        spec for spec in specs
+        if (outcome := common.peek(spec)) is not None and not outcome.verified
+    ]
+
+
+def _report_unverified(specs):
+    """Name every unverified outcome on stderr; the exit status."""
+    failed = unverified(specs)
+    if not failed:
+        return 0
+    print(
+        f"{len(failed)} outcome(s) failed verification:", file=sys.stderr
+    )
+    for spec in failed:
+        print(f"  {spec.key()}", file=sys.stderr)
+    return 1
 
 
 def main(argv=None):
@@ -143,19 +171,19 @@ def main(argv=None):
             from repro.experiments.report import SECTION_ORDER, write_report
 
             with executor.cache_context():
-                executor.prime(expand(SECTION_ORDER, quick=args.quick))
+                specs = expand(SECTION_ORDER, quick=args.quick)
+                executor.prime(specs)
                 write_report(args.output, quick=args.quick)
-            print(f"wrote {args.output}")
-            return 0
+                print(f"wrote {args.output}")
+                return _report_unverified(specs)
         ids = (
             sorted(REGISTRY) if args.experiment == "all"
             else [args.experiment]
         )
         with executor.cache_context():
+            specs = expand(ids, quick=args.quick, devices=args.devices)
             started = time.time()  # sanitizer: allow[R003]
-            stats = executor.prime(
-                expand(ids, quick=args.quick, devices=args.devices)
-            )
+            stats = executor.prime(specs)
             if stats["executed"]:
                 print(
                     f"(primed {stats['executed']} runs "
@@ -176,7 +204,7 @@ def main(argv=None):
                         print(chart)
                 print(f"(regenerated in {time.time() - started:.1f}s wall)")  # sanitizer: allow[R003]
                 print()
-        return 0
+            return _report_unverified(specs)
     finally:
         executor.close()
 

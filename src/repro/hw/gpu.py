@@ -69,6 +69,10 @@ class Gpu:
         #: True while replaying the queue (or running an eager kernel), so
         #: the kernel's own device views do not recursively re-materialize.
         self._replaying = False
+        #: Device addresses the running kernel declares it writes, or None
+        #: when every view is writable (no kernel running, or one without
+        #: ``writes``).  See :meth:`view`.
+        self._writable = None
         #: Throughput counters (see bench_hotpath's kernel_numerics block):
         #: launches whose numerics have executed, the subset that executed
         #: through a ``batched_fn``, and the number of materialization
@@ -128,9 +132,11 @@ class Gpu:
             return
         self._replaying = True
         try:
+            self._writable = _written_addresses(kernel, (args,))
             kernel.execute(self, args)
         finally:
             self._replaying = False
+            self._writable = None
         self.numerics_rounds += 1
 
     def materialize(self):
@@ -152,16 +158,18 @@ class Gpu:
                         and kernel.batch_compatible(args, queue[upto][1])
                     ):
                         upto += 1
-                    kernel.execute_batch(
-                        self, [entry[1] for entry in queue[index:upto]]
-                    )
+                    launches = [entry[1] for entry in queue[index:upto]]
+                    self._writable = _written_addresses(kernel, launches)
+                    kernel.execute_batch(self, launches)
                     self.batched_rounds += upto - index
                 else:
+                    self._writable = _written_addresses(kernel, (args,))
                     kernel.execute(self, args)
                 self.numerics_rounds += upto - index
                 index = upto
         finally:
             self._replaying = False
+            self._writable = None
 
     # -- timing -------------------------------------------------------------
 
@@ -188,5 +196,23 @@ class Gpu:
         return self.engine.drain()
 
     def view(self, address, dtype, count):
-        """Device-memory numpy view handed to kernel functions."""
-        return self.memory.view(address, dtype, count)
+        """Device-memory numpy view handed to kernel functions.
+
+        While a kernel that declares ``writes`` runs, a view of any
+        address it does not declare is read-only: numpy rejects an
+        undeclared write, and the view takes no copy-on-write snapshot
+        and leaves bound host mappings synced (DESIGN.md §14).
+        """
+        writable = self._writable is None or address in self._writable
+        return self.memory.view(address, dtype, count, writable=writable)
+
+
+def _written_addresses(kernel, launches):
+    """The addresses ``launches`` of ``kernel`` may write, or None when
+    the kernel declares no ``writes`` (every view stays writable)."""
+    if not kernel.writes:
+        return None
+    return {
+        args[name] for args in launches for name in kernel.writes
+        if name in args
+    }

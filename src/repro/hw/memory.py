@@ -605,16 +605,26 @@ class DeviceMemory:
         self._device_write(allocation, offset, size)
         allocation.buffer[offset:offset + size] = value & 0xFF
 
-    def view(self, address, dtype, count):
-        """A writable numpy view into device memory (what kernels use)."""
+    def view(self, address, dtype, count, writable=True):
+        """A numpy view into device memory (what kernels use).
+
+        A writable view escapes, so it counts as a write of its whole
+        range up front (:meth:`_device_write`).  ``writable=False`` hands
+        out a read-only view instead, which leaves outstanding ledger
+        entries unsnapshotted and bound mappings synced: nothing can
+        change the bytes through it.
+        """
         if self.on_observe is not None:
             self.on_observe()
         dtype = np.dtype(dtype)
         size = dtype.itemsize * count
         allocation, offset = self._locate(address, size)
-        # Views are writable and escape; treat as a write conservatively.
-        self._device_write(allocation, offset, size)
-        return allocation.buffer[offset:offset + size].view(dtype)
+        view = allocation.buffer[offset:offset + size].view(dtype)
+        if writable:
+            self._device_write(allocation, offset, size)
+        else:
+            view.flags.writeable = False
+        return view
 
 
 # -- transfer ledger entry points -------------------------------------------

@@ -53,36 +53,6 @@ class Interval:
             return Interval(start, start)
         return Interval(start, end)
 
-    def split_chunks(self, chunk_size):
-        """Yield consecutive sub-intervals of at most ``chunk_size`` bytes.
-
-        This is the access pattern GMAC's I/O interposition uses: an
-        operation over a shared object proceeds in block-sized pieces.
-        """
-        if chunk_size <= 0:
-            raise ValueError(f"chunk size must be positive, got {chunk_size}")
-        cursor = self.start
-        while cursor < self.end:
-            upper = min(cursor + chunk_size, self.end)
-            yield Interval(cursor, upper)
-            cursor = upper
-
-    def aligned_chunks(self, chunk_size):
-        """Yield sub-intervals cut at ``chunk_size``-aligned boundaries.
-
-        Unlike :meth:`split_chunks`, cuts happen at absolute multiples of
-        ``chunk_size`` so the pieces line up with memory-block boundaries
-        even when the interval itself starts mid-block.
-        """
-        if chunk_size <= 0:
-            raise ValueError(f"chunk size must be positive, got {chunk_size}")
-        cursor = self.start
-        while cursor < self.end:
-            boundary = (cursor // chunk_size + 1) * chunk_size
-            upper = min(boundary, self.end)
-            yield Interval(cursor, upper)
-            cursor = upper
-
     def __str__(self):
         return f"[{self.start:#x}, {self.end:#x})"
 

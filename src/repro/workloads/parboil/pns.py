@@ -26,31 +26,32 @@ FIRE_INCREMENT = np.int32(12345)
 TOKEN_LIMIT = np.int32(255)
 
 
-def fire_step(places, transition_seed, out=None, scratch=None):
+def fire_step(places, transition_seed, out=None):
     """One synchronous firing round over the marking vector (the oracle).
 
-    The firing rule as specified, in int32: wrap-around multiply-add, then
-    the two masks.  In-place update chain: int32 addition wraps mod 2^32
-    and is associative, so folding the scalar terms and reusing one buffer
-    gives bit-identical markings to the naive expression with fewer
-    temporaries.  Only :meth:`PetriNet.reference` runs it; the simulated
-    kernel runs the narrow engine (:func:`fire_rounds`), so verification
-    checks the kernel's arithmetic, not just its data movement.
+    The firing rule as specified, in int32: each place times the
+    multiplier plus its left neighbour (wrapping round the ring) plus the
+    increment and seed, masked to the token limit.  The spec masks with
+    ``& 0x7FFFFFFF`` and then ``& TOKEN_LIMIT``; 255 has no bit outside
+    0x7FFFFFFF, so one ``& TOKEN_LIMIT`` is the same.  int32 addition
+    wraps mod 2^32 and is associative, so folding the scalar terms and
+    adding the neighbour through shifted slices gives bit-identical
+    markings to the naive expression in four passes.  Only
+    :meth:`PetriNet.reference` runs it; the simulated kernel runs the
+    narrow engine (:func:`fire_rounds`), so verification checks the
+    kernel's arithmetic, not just its data movement.
 
-    ``out`` (the result buffer) and ``scratch`` (the rotation buffer) let
-    callers reuse allocations across rounds; neither may alias
-    ``places``.  Results are bit-identical with or without them.
+    ``out`` (the result buffer) lets callers reuse an allocation across
+    rounds; it may not alias ``places``.  Results are bit-identical with
+    or without it.
     """
-    rotated = np.empty_like(places) if scratch is None else scratch
-    rotated[0] = places[-1]
-    rotated[1:] = places[:-1]
     if out is None:
         mixed = places * FIRE_MULTIPLIER
     else:
         mixed = np.multiply(places, FIRE_MULTIPLIER, out=out)
-    mixed += rotated
+    mixed[1:] += places[:-1]
+    mixed[:1] += places[-1:]
     mixed += FIRE_INCREMENT + transition_seed
-    mixed &= 0x7FFFFFFF
     # TOKEN_LIMIT + 1 is a power of two, so the modulo is a mask.
     mixed &= TOKEN_LIMIT
     return mixed
@@ -60,6 +61,10 @@ def fire_step(places, transition_seed, out=None, scratch=None):
 #: needs of it.
 NARROW_MULTIPLIER = np.uint8(int(FIRE_MULTIPLIER) & 0xFF)
 
+#: Places per tile of the kernel sweep: a tile's two uint8 buffers
+#: (512 KiB with the halo) stay in L2 across all K rounds.
+SWEEP_TILE = 1 << 18
+
 
 def fire_rounds(marking, seeds):
     """The firing rounds of ``seeds``, one byte per place (the kernel).
@@ -67,26 +72,48 @@ def fire_rounds(marking, seeds):
     A round keeps only ``TOKEN_LIMIT + 1 = 256`` residues, and the int32
     multiply-add wraps mod 2^32, a multiple of 256, so its result is
     ``(109·x[i] + x[i-1] + 12345 + seed) mod 256``: a function of the
-    low byte of each operand alone.  Casting the marking to uint8 once
-    and letting uint8 arithmetic wrap mod 256 is therefore exact for any
+    low byte of each operand alone.  Casting the marking to uint8 and
+    letting uint8 arithmetic wrap mod 256 is therefore exact for any
     int32 marking and seed, and moves a quarter of :func:`fire_step`'s
-    bytes per round.  Returns the final marking as a fresh uint8 array
-    (values in [0, 255], equal to the int32 result).
+    bytes per round.
+
+    The sweep runs all K rounds on one tile of :data:`SWEEP_TILE` places
+    at a time, while the tile sits in cache, instead of streaming the
+    whole marking through memory once per round.  A place's next value
+    needs its left neighbour's, so each tile carries a halo: the K places
+    to its left, wrapping round the ring (more than once when K exceeds
+    the ring).  The first byte of the buffer has no neighbour in it, and
+    each round spreads that error one place right, so round r leaves only
+    the first r halo bytes stale and after K rounds the tile's own bytes
+    are exact.  Returns the final marking as a fresh uint8 array (values
+    in [0, 255], equal to the int32 result).
     """
-    state = marking.astype(np.uint8)
-    spare = np.empty_like(state)
+    rounds = len(seeds)
+    n_places = marking.shape[0]
     increments = (
         np.asarray(seeds).astype(np.uint8)
         + np.uint8(int(FIRE_INCREMENT) & 0xFF)
     )
-    for increment in increments:
-        np.multiply(state, NARROW_MULTIPLIER, out=spare)
-        spare[1:] += state[:-1]
-        # Slices, not scalars: numpy warns on scalar uint8 wrap-around.
-        spare[:1] += state[-1:]
-        spare += increment
-        state, spare = spare, state
-    return state
+    final = np.empty(n_places, dtype=np.uint8)
+    width = rounds + min(SWEEP_TILE, n_places)
+    state = np.empty(width, dtype=np.uint8)
+    spare = np.empty(width, dtype=np.uint8)
+    for lo in range(0, n_places, SWEEP_TILE):
+        hi = min(lo + SWEEP_TILE, n_places)
+        tile = state[:rounds + hi - lo]
+        scratch = spare[:rounds + hi - lo]
+        # Assignment casts int32 to uint8 modulo 256: the low byte.
+        tile[:rounds] = np.take(
+            marking, np.arange(lo - rounds, lo), mode="wrap"
+        )
+        tile[rounds:] = marking[lo:hi]
+        for increment in increments:
+            np.multiply(tile, NARROW_MULTIPLIER, out=scratch)
+            scratch[1:] += tile[:-1]
+            scratch += increment
+            tile, scratch = scratch, tile
+        final[lo:hi] = tile[rounds:]
+    return final
 
 
 def _write_stats(counters, marking, iteration):
@@ -238,13 +265,9 @@ class PetriNet(Workload):
         # verification checks the kernel's arithmetic.
         marking = self.initial.copy()
         spare = np.empty_like(marking)
-        scratch = np.empty_like(marking)
         samples = []
         for iteration in range(self.iterations):
-            fire_step(
-                marking, self._seed_for(iteration), out=spare,
-                scratch=scratch,
-            )
+            fire_step(marking, self._seed_for(iteration), out=spare)
             marking, spare = spare, marking
             if (iteration + 1) % self.sample_interval == 0:
                 samples.append(int(marking[:256].sum()) & 0x7FFFFFFF)

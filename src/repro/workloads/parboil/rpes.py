@@ -17,16 +17,68 @@ CPU_STREAM_RATE = 2.0e9
 
 
 def rys_term(params, root):
-    """One quadrature term: a cubic polynomial of the root per integral."""
+    """One quadrature term: a cubic polynomial of the root per integral.
+
+    The oracle's form; the kernel runs :func:`accumulate_roots`.
+    """
     p0, p1, p2, p3 = params.reshape(4, -1)
     t = np.float32(root)
     return (p0 + t * (p1 + t * (p2 + t * p3))).astype(np.float32)
 
 
+#: Integrals per tile of the kernel engine: a tile's parameters,
+#: accumulator and term buffer (768 KiB) stay in L2 across every root.
+ROOT_TILE = 1 << 15
+
+
+def accumulate_roots(table, acc, roots, weights):
+    """``acc += w·rys_term(table, t)`` for each (root, weight) in order.
+
+    Applies every root to one tile of :data:`ROOT_TILE` integrals at a
+    time, in place, through one term buffer, instead of streaming the
+    whole parameter table and accumulator through memory once per root.
+    Each root keeps :func:`rys_term`'s float32 operation order —
+    ``((t·p3 + p2)·t + p1)·t + p0``, then ``·w``, then ``acc +=`` — and
+    float32 multiplication and addition are commutative, so the result
+    is bit-identical to the per-root oracle.
+    """
+    columns = table.reshape(4, -1)
+    terms = [(np.float32(t), np.float32(w)) for t, w in zip(roots, weights)]
+    n_integrals = acc.shape[0]
+    buffer = np.empty(min(ROOT_TILE, n_integrals), dtype=np.float32)
+    for lo in range(0, n_integrals, ROOT_TILE):
+        hi = min(lo + ROOT_TILE, n_integrals)
+        p0, p1, p2, p3 = columns[:, lo:hi]
+        term = buffer[:hi - lo]
+        tile = acc[lo:hi]
+        for t, w in terms:
+            np.multiply(p3, t, out=term)
+            term += p2
+            term *= t
+            term += p1
+            term *= t
+            term += p0
+            term *= w
+            tile += term
+
+
 def _rpes_fn(gpu, params, integrals, n_integrals, root, weight):
     table = gpu.view(params, "f4", 4 * n_integrals)
     acc = gpu.view(integrals, "f4", n_integrals)
-    acc += np.float32(weight) * rys_term(table, root)
+    accumulate_roots(table, acc, (root,), (weight,))
+
+
+def _rpes_batched(gpu, launches):
+    """K deferred roots in one tiled pass over the accumulator."""
+    first = launches[0]
+    n_integrals = first["n_integrals"]
+    table = gpu.view(first["params"], "f4", 4 * n_integrals)
+    acc = gpu.view(first["integrals"], "f4", n_integrals)
+    accumulate_roots(
+        table, acc,
+        [launch["root"] for launch in launches],
+        [launch["weight"] for launch in launches],
+    )
 
 
 #: ~10 flops and 20 bytes of traffic per integral per root.
@@ -38,6 +90,8 @@ RPES_KERNEL = Kernel(
         20 * n_integrals,
     ),
     writes=("integrals",),
+    batched_fn=_rpes_batched,
+    batch_by=("root", "weight"),
 )
 
 

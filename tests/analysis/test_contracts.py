@@ -22,7 +22,9 @@ from repro.workloads.stencil3d import Stencil3D
 from repro.workloads.parboil.cp import CoulombicPotential
 from repro.workloads.parboil.mrifhd import MriFhd
 from repro.workloads.parboil.mriq import MriQ
-from repro.workloads.parboil.pns import PetriNet
+from repro.workloads.parboil.pns import PNS_KERNEL, PetriNet
+from repro.workloads.parboil.rpes import RPES_KERNEL
+from repro.workloads.parboil.sad import SAD_KERNEL
 from repro.workloads.parboil.tpacf import Tpacf
 
 ANNOTATED = [
@@ -76,6 +78,32 @@ def test_augassign_counts_as_read_write():
     assert contract.modes == {"accum": "rw"}
     assert "accum" in contract.proven_reads
     assert "accum" in contract.proven_writes
+
+
+def test_augassign_on_a_view_alias_counts_as_read_write():
+    # ``acc += x`` updates the aliased device view in place.
+    def _fn(gpu, accum, n):
+        acc = gpu.view(accum, "f4", n)
+        acc += 1.0
+
+    kernel = Kernel("accum-alias", _fn, cost=lambda accum, n: (n, n),
+                    writes=("accum",))
+    contract = infer_kernel_contract(kernel)
+    assert contract.modes == {"accum": "rw"}
+    assert "accum" in contract.proven_reads
+    assert "accum" in contract.proven_writes
+
+
+def test_parboil_kernel_contracts():
+    assert infer_kernel_contract(PNS_KERNEL).modes == {
+        "places": "rw", "stats": "rw", "transitions": "ro",
+    }
+    assert infer_kernel_contract(SAD_KERNEL).modes == {
+        "current": "ro", "reference": "ro", "sads": "wo",
+    }
+    assert infer_kernel_contract(RPES_KERNEL).modes == {
+        "integrals": "rw", "params": "ro",
+    }
 
 
 def test_escaping_view_is_treated_as_read():

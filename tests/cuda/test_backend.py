@@ -10,6 +10,7 @@ pure Python) without the optional dependency.
 
 import sys
 import types
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
@@ -18,8 +19,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.cuda import backend
+from repro.experiments.common import make_workload
 from repro.experiments.spec import RunSpec
-from repro.workloads.parboil import pns
+from repro.workloads.parboil import pns, rpes
 
 
 @pytest.fixture(autouse=True)
@@ -207,9 +209,23 @@ def compiled_sweep(monkeypatch):
     return sweep
 
 
+#: A kernel tile size: the default, or one small enough that a drawn
+#: array spans several tiles and a drawn K exceeds the tile.
+TILES = st.one_of(st.none(), st.integers(1, 8))
+
+
+@contextmanager
+def _tiled(module, name, tile):
+    """Patch ``module.name`` to ``tile`` (None keeps the default)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if tile is not None:
+            patch.setattr(module, name, tile)
+        yield
+
+
 class TestPnsEngines:
-    """The kernel's uint8 engine, the compiled sweep and the int32 oracle
-    compute the same markings, byte for byte."""
+    """The kernel's tiled uint8 engine, the compiled sweep and the int32
+    oracle compute the same markings, byte for byte."""
 
     # The fixture builds one pure routine; nothing in it varies per example.
     @settings(max_examples=150, deadline=None,
@@ -217,14 +233,33 @@ class TestPnsEngines:
     @given(
         marking=arrays(np.int32, st.integers(1, 48), elements=INT32),
         seeds=arrays(np.int32, st.integers(1, 24), elements=INT32),
+        tile=TILES,
     )
     def test_all_engines_match_int32_rounds(
-            self, compiled_sweep, marking, seeds):
+            self, compiled_sweep, marking, seeds, tile):
         expected = _int32_rounds(marking, seeds).tobytes()
-        narrow = pns.fire_rounds(marking, seeds)
+        with _tiled(pns, "SWEEP_TILE", tile):
+            narrow = pns.fire_rounds(marking, seeds)
         assert _widened(narrow, marking).tobytes() == expected
         compiled = compiled_sweep(marking, seeds, np.empty_like(marking))
         assert compiled.tobytes() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        marking=arrays(np.int32, st.integers(1, 48), elements=INT32),
+        seed=INT32,
+    )
+    def test_oracle_is_the_literal_rule(self, marking, seed):
+        """``fire_step`` is the spec as written, on any int32 marking."""
+        seed = np.int32(seed)
+        with np.errstate(over="ignore"):
+            literal = (
+                (marking * pns.FIRE_MULTIPLIER + np.roll(marking, 1)
+                 + np.int32(12345) + seed) & 0x7FFFFFFF
+            ) & 255
+            step = pns.fire_step(marking, seed)
+        assert step.dtype == np.int32
+        assert step.tobytes() == literal.astype(np.int32).tobytes()
 
     def test_single_place_rotates_onto_itself(self):
         marking = np.array([-7], dtype=np.int32)
@@ -242,3 +277,58 @@ class TestPnsEngines:
         expected = _int32_rounds(marking, seeds)
         narrow = pns.fire_rounds(marking, seeds)
         assert np.array_equal(_widened(narrow, marking), expected)
+
+
+def _root_by_root(table, acc, roots, weights):
+    """K sequential oracle roots: ``acc += w·rys_term(table, t)``."""
+    for root, weight in zip(roots, weights):
+        acc += np.float32(weight) * rpes.rys_term(table, root)
+    return acc
+
+
+#: Finite float32 values of either sign, small enough that no sum of ~70
+#: cubic terms overflows.
+FLOAT32 = st.floats(-1e4, 1e4, width=32)
+
+
+class TestRpesEngine:
+    """The tiled, batched rpes engine against the per-root oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        n_integrals=st.integers(1, 40),
+        n_roots=st.integers(1, 70),
+        tile=TILES,
+    )
+    def test_engine_matches_root_by_root(
+            self, data, n_integrals, n_roots, tile):
+        table = data.draw(arrays(np.float32, 4 * n_integrals,
+                                 elements=FLOAT32))
+        start = data.draw(arrays(np.float32, n_integrals, elements=FLOAT32))
+        roots = data.draw(arrays(np.float32, n_roots,
+                                 elements=st.floats(-2, 2, width=32)))
+        weights = data.draw(arrays(np.float32, n_roots,
+                                   elements=st.floats(-2, 2, width=32)))
+        expected = _root_by_root(table, start.copy(), roots, weights)
+        acc = start.copy()
+        with _tiled(rpes, "ROOT_TILE", tile):
+            rpes.accumulate_roots(table, acc, roots, weights)
+        assert acc.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode, protocol", [
+        ("cuda", "rolling"), ("gmac", "lazy"),
+    ])
+    def test_every_root_runs_in_one_batch(self, mode, protocol, monkeypatch):
+        batches = []
+        batched_fn = rpes.RPES_KERNEL.batched_fn
+
+        def recording(gpu, launches):
+            batches.append(len(launches))
+            batched_fn(gpu, launches)
+
+        monkeypatch.setattr(rpes.RPES_KERNEL, "batched_fn", recording)
+        workload = make_workload("rpes", quick=True)
+        result = workload.execute(mode=mode, protocol=protocol)
+        assert result.verified
+        assert batches == [workload.n_roots]

@@ -36,3 +36,27 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig2", "--pool", "threads"])
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_unverified_outcome_fails_and_is_named(
+            self, monkeypatch, capsys):
+        from repro.experiments import common
+        from repro.workloads.vecadd import VectorAdd
+
+        monkeypatch.setattr(common, "_memory", {})
+        monkeypatch.setattr(VectorAdd, "_verify", lambda self, outputs: False)
+        assert main(["fig11", "--quick", "--no-cache", "--pool", "serial"]) \
+            == 1
+        err = capsys.readouterr().err
+        assert "5 outcome(s) failed verification" in err
+        assert err.count('"workload": "vecadd"') == 5
+
+    def test_gave_up_specs_are_not_unverified(self, monkeypatch):
+        from repro.experiments import __main__ as cli
+        from repro.experiments import common
+        from repro.experiments.executor import expand
+
+        monkeypatch.setattr(common, "_memory", {})
+        specs = expand(["fig11"], quick=True)
+        # Nothing primed: a spec without an outcome (as after a recovery
+        # gave up) is not an unverified one.
+        assert cli.unverified(specs) == []

@@ -5,6 +5,7 @@ import pytest
 from repro.sim.clock import SimClock
 from repro.sim.tracing import TimeAccounting, Category
 from repro.hw.specs import GTX280, OPTERON_2222, COMMODITY_DISK
+from repro.cuda.kernels import Kernel
 from repro.hw.gpu import Gpu
 from repro.hw.cpu import Cpu
 from repro.hw.disk import Disk
@@ -60,6 +61,38 @@ class TestGpu:
         addr = gpu.memory.alloc(16)
         gpu.view(addr, "i4", 4)[:] = [1, 2, 3, 4]
         assert gpu.view(addr, "i4", 4).tolist() == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("defer", [True, False],
+                             ids=["deferred", "eager"])
+    def test_undeclared_kernel_write_raises(self, clock, defer):
+        gpu = Gpu(GTX280, clock, defer_numerics=defer)
+        src = gpu.memory.alloc(64)
+        dst = gpu.memory.alloc(64)
+
+        def scribble(gpu, src, dst, n):
+            gpu.view(dst, "f4", n)[:] = gpu.view(src, "f4", n)
+            gpu.view(src, "f4", n)[:] = 1.0  # src is not in ``writes``
+
+        kernel = Kernel("scribble", scribble,
+                        cost=lambda src, dst, n: (n, n), writes=("dst",))
+        with pytest.raises(ValueError, match="read-only"):
+            gpu.enqueue_numerics(kernel, dict(src=src, dst=dst, n=16))
+            gpu.materialize()
+        # The replay state is cleared: views outside kernels stay writable.
+        gpu.view(src, "f4", 16)[:] = 2.0
+        assert gpu.view(src, "f4", 16).tolist() == [2.0] * 16
+
+    @pytest.mark.parametrize("defer", [True, False],
+                             ids=["deferred", "eager"])
+    def test_kernel_without_writes_keeps_writable_views(self, clock, defer):
+        gpu = Gpu(GTX280, clock, defer_numerics=defer)
+        data = gpu.memory.alloc(64)
+        kernel = Kernel(
+            "fill", lambda gpu, data, n: gpu.view(data, "f4", n).fill(3.0),
+            cost=lambda data, n: (n, n),
+        )
+        gpu.enqueue_numerics(kernel, dict(data=data, n=16))
+        assert gpu.view(data, "f4", 16).tolist() == [3.0] * 16
 
 
 class TestCpu:

@@ -233,3 +233,57 @@ class TestInterleavingParity:
         assert counters["transfers_elided"] == elided + 1
         assert counters["bytes_materialized"] == materialized
         assert lazy.space.peek(lazy.host, SIZE) == b"\x44" * SIZE
+
+
+class TestReadOnlyOperands:
+    def test_pns_batch_never_snapshots_transitions(self, monkeypatch):
+        """pns only reads ``transitions``: under batch-update, where every
+        call fetches it back, its view takes no copy-on-write snapshot
+        and never un-syncs its mapping."""
+        from repro.experiments.common import make_workload
+        from repro.hw.gpu import Gpu
+        from repro.hw.memory import DeviceMemory
+
+        snapshotted = []
+        written_in_kernels = []
+        replays = []
+        real_write = DeviceMemory._device_write
+        real_materialize = Gpu.materialize
+
+        def device_write(self, allocation, offset, size):
+            plane = allocation.plane
+            before = list(plane.dependents) if plane is not None else []
+            real_write(self, allocation, offset, size)
+            if replays:
+                written_in_kernels.append(allocation.interval.start)
+            if any(entry.deps is None for entry in before if not entry.dead):
+                snapshotted.append(allocation.interval.start)
+
+        def materialize(self):
+            replays.append(self)
+            try:
+                real_materialize(self)
+            finally:
+                replays.pop()
+
+        monkeypatch.setattr(DeviceMemory, "_device_write", device_write)
+        monkeypatch.setattr(Gpu, "materialize", materialize)
+        result = make_workload("pns", quick=True).execute(
+            mode="gmac", protocol="batch"
+        )
+        assert result.verified
+        gmac = result.extra["gmac"]
+        regions = {region.name: region for region in gmac.manager.regions()}
+        transitions = regions["transitions"]
+        # The written operands do take snapshots: the spy sees them.
+        assert regions["stats"].device_start in snapshotted
+        assert transitions.device_start not in snapshotted
+        assert transitions.device_start not in written_in_kernels
+        mapping = gmac.process.address_space.mapping_at(
+            transitions.host_start
+        )
+        lo = transitions.host_start - mapping.start
+        synced = mapping.plane.sync_runs(gmac.machine.gpu.memory.token)
+        assert synced.runs_in(lo, lo + transitions.mapped_size) == [
+            (lo, lo + transitions.mapped_size)
+        ]

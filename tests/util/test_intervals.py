@@ -44,35 +44,6 @@ class TestInterval:
         assert Interval(0, 10).intersection(Interval(5, 20)) == Interval(5, 10)
         assert not Interval(0, 10).intersection(Interval(20, 30))
 
-    def test_split_chunks_covers_exactly(self):
-        pieces = list(Interval(0, 10).split_chunks(4))
-        assert pieces == [Interval(0, 4), Interval(4, 8), Interval(8, 10)]
-
-    def test_split_chunks_bad_size(self):
-        with pytest.raises(ValueError):
-            list(Interval(0, 10).split_chunks(0))
-
-    def test_aligned_chunks_cut_at_absolute_boundaries(self):
-        pieces = list(Interval(6, 22).aligned_chunks(8))
-        assert pieces == [Interval(6, 8), Interval(8, 16), Interval(16, 22)]
-
-    @given(
-        start=st.integers(0, 1 << 20),
-        size=st.integers(1, 1 << 16),
-        chunk=st.integers(1, 1 << 12),
-    )
-    def test_chunking_partitions_the_interval(self, start, size, chunk):
-        interval = Interval.sized(start, size)
-        for chunks in (
-            list(interval.split_chunks(chunk)),
-            list(interval.aligned_chunks(chunk)),
-        ):
-            assert chunks[0].start == interval.start
-            assert chunks[-1].end == interval.end
-            for left, right in zip(chunks, chunks[1:]):
-                assert left.end == right.start
-            assert all(piece.size <= chunk for piece in chunks)
-
 
 class TestRangeMap:
     def test_add_and_find(self):

@@ -14,7 +14,7 @@ from repro.workloads.stencil3d import Stencil3D
 from repro.experiments.common import make_workload, QUICK_PARAMS
 from repro.workloads import base as workload_base
 from repro.workloads.base import ValueMemo
-from repro.workloads.parboil import PARBOIL, pns
+from repro.workloads.parboil import PARBOIL, pns, sad
 
 MODES = [("cuda", None), ("gmac", "batch"), ("gmac", "lazy"),
          ("gmac", "rolling")]
@@ -96,6 +96,68 @@ class TestPnsOracleIndependence:
         assert np.array_equal(
             oracle["final_marking"], expected["final_marking"]
         )
+
+
+class TestSadValueReuse:
+    """The sad kernel reuses its result across a sweep's variants."""
+
+    @staticmethod
+    def _counting_memo(monkeypatch):
+        memo = ValueMemo()
+        stores = []
+        store = memo.store
+
+        def counting(key, inputs, outputs):
+            stores.append(key)
+            return store(key, inputs, outputs)
+
+        memo.store = counting
+        monkeypatch.setattr(sad, "_SAD_MEMO", memo)
+        return stores
+
+    def test_one_evaluation_across_modes_and_protocols(self, monkeypatch):
+        stores = self._counting_memo(monkeypatch)
+        for mode, protocol in [
+            ("cuda", None), ("gmac", "batch"), ("gmac", "lazy"),
+            ("gmac", "rolling"),
+        ]:
+            result = make_workload("sad", quick=True).execute(
+                mode=mode, protocol=protocol or "rolling"
+            )
+            assert result.verified, (mode, protocol)
+        assert len(stores) == 1
+
+    def test_changed_frame_byte_misses(self, monkeypatch):
+        stores = self._counting_memo(monkeypatch)
+        workload = make_workload("sad", quick=True)
+        frames = {
+            "cur": workload.current.copy(),
+            "ref": workload.reference_frame.copy(),
+        }
+        sads = np.zeros(workload.sads_bytes // 4, dtype=np.int32)
+
+        class _Device:
+            def view(self, name, dtype, count):
+                buffer = sads if name == "out" else frames[name]
+                return buffer.reshape(-1).view(dtype)[:count]
+
+        def launch():
+            sad.SAD_KERNEL.fn(
+                _Device(), current="cur", reference="ref", sads="out",
+                width=workload.width, height=workload.height,
+                search=workload.search,
+            )
+            return sads.copy()
+
+        first = launch()
+        assert np.array_equal(launch(), first)
+        assert len(stores) == 1
+        frames["ref"][5, 7] ^= 1
+        changed = launch()
+        assert len(stores) == 2
+        assert np.array_equal(changed, sad.sad_reference(
+            frames["cur"], frames["ref"], workload.search
+        ).ravel())
 
 
 class TestVectorAdd:
