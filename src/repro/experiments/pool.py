@@ -12,9 +12,16 @@ back through a pipe.  This engine replaces both costs:
   ``multiprocessing.shared_memory`` slab; it pickles the outcome straight
   into the slab through the :mod:`repro.util.buffers` view machinery and
   sends only a small control message (sequence number, payload size, host
-  seconds) on the result queue.  The parent unpickles directly from a
+  seconds) on its result pipe.  The parent unpickles directly from a
   slab view; outcome bytes never cross a pipe.  An outcome larger than
-  the slab falls back to riding the control queue (counted, never wrong);
+  the slab falls back to riding the result pipe (counted, never wrong);
+* **each worker owns its result pipe** — written synchronously from the
+  worker's main thread, with no lock shared between processes.  A worker
+  that dies mid-message tears only its own pipe, which is retired with
+  it; its exit reads as end-of-file, so the parent notices at once.  (A
+  shared ``multiprocessing.Queue`` could deadlock the pool: a worker
+  exiting while its feeder thread held the queue's cross-process write
+  lock blocked every later ``put``.)
 * **dispatch is parent-driven, one spec at a time** — the executor hands
   this engine a cost-ordered ``(seq, spec)`` list (longest expected
   first); each worker holds exactly one in-flight spec, and the next
@@ -41,10 +48,10 @@ import collections
 import multiprocessing
 import os
 import pickle
-import queue as queue_module
 import time
 
 from multiprocessing import shared_memory
+from multiprocessing.connection import wait
 
 from repro.sim.tracing import HostCounters
 from repro.util.buffers import as_byte_view, copy_into
@@ -53,9 +60,9 @@ from repro.util.buffers import as_byte_view, copy_into
 #: default leaves ~1000x headroom before the inline-fallback path.
 DEFAULT_SLAB_BYTES = 4 << 20
 
-#: How long the supervisor waits on the control queue before checking
-#: worker liveness (host seconds; a crashed worker is noticed within one
-#: interval, which is negligible against spec execution times).
+#: How long the supervisor waits on the result pipes before checking
+#: worker liveness (host seconds; a crashed worker's pipe reads as
+#: end-of-file at once, so this only bounds the liveness poll).
 _SUPERVISE_INTERVAL_S = 0.05
 
 
@@ -109,7 +116,7 @@ def rebuild_memoized_inputs(configs):
 
 
 def _portable_error(error):
-    """An exception safe to send over the control queue."""
+    """An exception safe to send over a result pipe."""
     try:
         pickle.loads(pickle.dumps(error))
         return error
@@ -121,17 +128,15 @@ def _worker_main(worker_id, token, tasks, results, slab_name, slab_size,
                  start_method, configs):
     """Worker loop: attach the slab, (re)warm, execute specs until None.
 
-    Control messages are small tuples ``(kind, worker_id, token, ...)``:
-    ``ready`` (startup, carries the memo-rebuild count), ``done`` (payload
-    in the slab), ``inline`` (payload rode the queue: slab too small),
-    ``error`` (spec raised).  A spec whose recovery gave up is a payload,
-    not an error: :func:`~repro.experiments.common.attempt` returns its
+    Control messages on ``results`` (this incarnation's own pipe) are
+    small tuples ``(kind, ...)``: ``ready`` (startup, carries the
+    memo-rebuild count), ``done`` (payload in the slab), ``inline``
+    (payload rode the pipe: slab too small), ``error`` (spec raised).  A
+    spec whose recovery gave up is a payload, not an error:
+    :func:`~repro.experiments.common.attempt` returns its
     :class:`~repro.util.errors.RecoveryExhausted` for the parent's merge
-    to commit.  ``token`` is this incarnation's spawn serial
-    — the parent drops messages whose token no longer matches the worker
-    at this id, so a crashed worker's last message can never be read
-    against its replacement's slab.  Host-seconds ride along for the
-    cost-aware scheduler's timing records.
+    to commit.  ``token`` is this incarnation's spawn serial.
+    Host-seconds ride along for the cost-aware scheduler's timing records.
     """
     from repro.util.hostalloc import retain_arena
     from repro.analysis.report import REPORT_TOKEN_ENV
@@ -150,7 +155,7 @@ def _worker_main(worker_id, token, tasks, results, slab_name, slab_size,
         rebuilt = rebuild_memoized_inputs(configs)
     slab = shared_memory.SharedMemory(name=slab_name)
     try:
-        results.put(("ready", worker_id, token, rebuilt))
+        results.send(("ready", rebuilt))
         while True:
             task = tasks.get()
             if task is None:
@@ -160,23 +165,18 @@ def _worker_main(worker_id, token, tasks, results, slab_name, slab_size,
             try:
                 outcome = attempt(spec)
             except Exception as error:
-                results.put(
-                    ("error", worker_id, token, seq, _portable_error(error))
-                )
+                results.send(("error", seq, _portable_error(error)))
                 continue
             host_s = time.perf_counter() - started  # sanitizer: allow[R003]
             payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
             if len(payload) <= slab_size:
                 copy_into(slab.buf, payload)
-                results.put(
-                    ("done", worker_id, token, seq, len(payload), host_s)
-                )
+                results.send(("done", seq, len(payload), host_s))
             else:
-                results.put(
-                    ("inline", worker_id, token, seq, payload, host_s)
-                )
+                results.send(("inline", seq, payload, host_s))
     finally:
         slab.close()
+        results.close()
 
 
 class StreamingMerge:
@@ -225,13 +225,13 @@ class StreamingMerge:
 class _Worker:
     """Parent-side record of one live worker."""
 
-    __slots__ = ("process", "tasks", "slab", "token", "inflight")
+    __slots__ = ("process", "tasks", "results", "slab", "inflight")
 
-    def __init__(self, process, tasks, slab, token):
+    def __init__(self, process, tasks, results, slab):
         self.process = process
         self.tasks = tasks
+        self.results = results
         self.slab = slab
-        self.token = token
         self.inflight = None  # (seq, spec) currently executing, or None
 
 
@@ -246,7 +246,6 @@ class PersistentWorkerPool:
         self.slab_size = slab_size or slab_bytes()
         self.counters = counters if counters is not None else HostCounters()
         self._workers = {}
-        self._results = None
         self._configs = ()
         self._spawn_serial = 0
         self.started = False
@@ -263,26 +262,28 @@ class PersistentWorkerPool:
         if self.started:
             return
         self._configs = tuple(configs)
-        self._results = self.context.Queue()
         for worker_id in range(self.jobs):
             self._spawn(worker_id)
         self.started = True
 
     def _spawn(self, worker_id):
         tasks = self.context.SimpleQueue()
+        results, results_end = self.context.Pipe(duplex=False)
         slab = shared_memory.SharedMemory(create=True, size=self.slab_size)
         self._spawn_serial += 1
-        token = self._spawn_serial
         process = self.context.Process(
             target=_worker_main,
-            args=(worker_id, token, tasks, self._results, slab.name,
-                  self.slab_size, self.start_method, self._configs),
+            args=(worker_id, self._spawn_serial, tasks, results_end,
+                  slab.name, self.slab_size, self.start_method,
+                  self._configs),
             name=f"repro-pool-{worker_id}",
             daemon=True,
         )
         process.start()
+        # Only the worker holds the write end, so its exit reads as EOF.
+        results_end.close()
         self.counters.increment("workers_spawned")
-        self._workers[worker_id] = _Worker(process, tasks, slab, token)
+        self._workers[worker_id] = _Worker(process, tasks, results, slab)
 
     def close(self):
         """Shut the pool down; safe to call repeatedly."""
@@ -301,10 +302,6 @@ class PersistentWorkerPool:
                 worker.process.join(timeout=1.0)
             self._retire(worker)
         self._workers.clear()
-        if self._results is not None:
-            self._results.close()
-            self._results.join_thread()
-            self._results = None
         self.started = False
         if os.environ.get("REPRO_SANITIZE_REPORT"):
             # All workers are down: fold their per-incarnation reports
@@ -315,7 +312,7 @@ class PersistentWorkerPool:
 
     @staticmethod
     def _retire(worker):
-        """Release one worker's parent-side resources (slab, queue)."""
+        """Release one worker's parent-side resources (slab, pipes)."""
         try:
             worker.slab.close()
         except (OSError, BufferError):
@@ -328,6 +325,7 @@ class PersistentWorkerPool:
             worker.tasks.close()
         except (OSError, ValueError):
             pass
+        worker.results.close()
 
     def __enter__(self):
         return self
@@ -358,28 +356,19 @@ class PersistentWorkerPool:
         busy_s = 0.0
         self._fill_idle(pending)
         while landed < total:
-            try:
-                message = self._results.get(timeout=_SUPERVISE_INTERVAL_S)
-            except queue_module.Empty:
-                self._supervise(pending, requeues)
+            worker, message = self._next_message(pending, requeues)
+            if message is None:
                 continue
             self.counters.increment("control_messages")
-            kind, worker_id, token = message[0], message[1], message[2]
-            worker = self._workers.get(worker_id)
-            if worker is None or worker.token != token:
-                # A retired incarnation's last words.  Its slab is gone and
-                # its in-flight spec was already requeued at retirement, so
-                # the replacement execution covers it; drop the message.
-                self.counters.increment("stale_messages")
-                continue
+            kind = message[0]
             if kind == "ready":
-                self.counters.increment("worker_rebuilds", message[3])
+                self.counters.increment("worker_rebuilds", message[1])
                 continue
             if kind == "error":
-                error = message[4]
+                error = message[2]
                 self.close()
                 raise error
-            _, _, _, seq, payload, host_s = message
+            _, seq, payload, host_s = message
             if kind == "done":
                 # Zero-copy recall: unpickle straight off the slab view.
                 # The slice is released immediately — a lingering export
@@ -412,6 +401,26 @@ class PersistentWorkerPool:
             int(max(wall_s * len(self._workers) - busy_s, 0.0) * 1e6),
         )
         return landed
+
+    def _next_message(self, pending, requeues):
+        """The next ``(worker, message)``, or ``(None, None)``.
+
+        A quiet interval runs the supervisor.  A pipe at end-of-file
+        means its worker exited, perhaps mid-message: reap it, then let
+        the supervisor respawn it and requeue its in-flight spec.
+        """
+        workers = {worker.results: worker for worker in self._workers.values()}
+        ready = wait(list(workers), timeout=_SUPERVISE_INTERVAL_S)
+        if not ready:
+            self._supervise(pending, requeues)
+            return None, None
+        worker = workers[ready[0]]
+        try:
+            return worker, worker.results.recv()
+        except (EOFError, OSError):
+            worker.process.join()
+            self._supervise(pending, requeues)
+            return None, None
 
     def _fill_idle(self, pending):
         for worker in self._workers.values():

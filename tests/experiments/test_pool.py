@@ -18,12 +18,15 @@ The engine's contract (ISSUE acceptance criteria):
 import multiprocessing
 import os
 import pickle
+import signal
+import struct
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments import common
+from repro.experiments import pool as pool_module
 from repro.experiments.cache import ResultCache
 from repro.experiments.executor import ExperimentExecutor, expand
 from repro.experiments.pool import (
@@ -36,6 +39,24 @@ from repro.workloads.vecadd import VectorAdd
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 fork_only = pytest.mark.skipif(not HAVE_FORK, reason="needs fork start method")
+
+#: Wall-clock budget for a test whose workers die (host seconds).
+TIME_LIMIT_S = 60
+
+
+@pytest.fixture
+def time_limit():
+    """Fail, instead of hanging the suite, a pool that stops progressing."""
+    def expire(signum, frame):
+        raise TimeoutError(f"pool test exceeded {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _vec_spec(elements):
@@ -119,6 +140,7 @@ class TestEngine:
         assert warm.counters.get("warm_hits") == 3
 
 
+@pytest.mark.usefixtures("time_limit")
 class TestCrashRecovery:
     """The supervisor's bounded-retry ladder (RecoveryPolicy idiom)."""
 
@@ -157,6 +179,43 @@ class TestCrashRecovery:
         # The requeued spec's replacement execution matches a direct one.
         assert (pooled[-1].canonical_bytes()
                 == specs[-1].execute().canonical_bytes())
+
+    @fork_only
+    def test_torn_result_message_costs_one_respawn(
+            self, tmp_path, monkeypatch):
+        """A worker dying mid-message loses only its own result pipe."""
+        marker = str(tmp_path / "torn")
+        worker_main = pool_module._worker_main
+
+        class TearFirstDone:
+            def __init__(self, pipe):
+                self.pipe = pipe
+
+            def send(self, message):
+                if message[0] == "done" and not os.path.exists(marker):
+                    open(marker, "w").close()
+                    # A length header promising more bytes than follow.
+                    os.write(self.pipe.fileno(),
+                             struct.pack("!i", 64) + b"torn")
+                    os._exit(17)
+                self.pipe.send(message)
+
+            def close(self):
+                self.pipe.close()
+
+        def tearing_main(worker_id, token, tasks, results, *rest):
+            worker_main(worker_id, token, tasks, TearFirstDone(results), *rest)
+
+        monkeypatch.setattr(pool_module, "_worker_main", tearing_main)
+        specs = _specs(3)
+        serial = [spec.execute() for spec in specs]
+        with PersistentWorkerPool(jobs=2) as pool:
+            pool.start()
+            pooled = _engine_run(pool, specs)
+        assert os.path.exists(marker)  # a message really was torn
+        assert pool.counters.get("worker_respawns") == 1
+        assert pool.counters.get("specs_requeued") == 1
+        assert _canonical(pooled) == _canonical(serial)
 
     @fork_only
     def test_second_crash_on_same_spec_raises(self, monkeypatch):
