@@ -500,7 +500,7 @@ class Manager:
         entries over them are dead weight — killing them now avoids the
         COW snapshots the fetch's own numerics replay would otherwise take
         for bytes nobody will ever read.  Safe because callers fetch the
-        whole span immediately, with no host access in between."""
+        whole span before any host access to it."""
         mapping = self.process.address_space.mapping_at(region.host_start)
         if mapping is None or mapping.plane is None:
             return

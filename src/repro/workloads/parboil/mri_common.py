@@ -13,30 +13,16 @@ from repro.cuda import backend
 TWO_PI = np.float32(2.0 * np.pi)
 
 
-class PhaseScratch:
-    """Reusable float32 work buffers for the (samples x voxels) phase grid.
+#: Phase-grid cells per voxel tile (4 MiB per buffer).  Each tile costs
+#: a matmul and two or four matrix-vector products, which OpenBLAS runs
+#: on two threads; in a busy worker pool each call waits for its helper
+#: thread, so fewer, larger tiles run faster there.  Serially, 2^18- and
+#: 2^20-cell tiles take the same time.
+PHASE_TILE_CELLS = 1 << 20
 
-    The two MRI kernels allocate three dense (n_samples, n_voxels) arrays
-    per evaluation (phase, cos, sin) — the dominant allocation cost of the
-    whole hot path.  One scratch object hands out named buffers keyed by
-    shape; all operations write with ``out=``, so results stay bit-identical
-    to the allocating path.
-    """
-
-    def __init__(self):
-        self._buffers = {}
-
-    def take(self, name, shape):
-        buffer = self._buffers.get((name, shape))
-        if buffer is None:
-            buffer = np.empty(shape, dtype=np.float32)
-            self._buffers[(name, shape)] = buffer
-        return buffer
-
-
-#: Shared scratch for the simulated kernels (the oracle paths allocate
-#: fresh arrays: they run once per configuration and are memoized).
-KERNEL_SCRATCH = PhaseScratch()
+#: Fewest voxels per tile, so that sample-heavy grids (mri-fhd's 32768
+#: samples) still reduce over wide rows.
+PHASE_TILE_MIN_VOXELS = 64
 
 
 def phase_matrix(k_coords, voxels, out=None):
@@ -56,7 +42,7 @@ def _build_compiled_phase_terms(numba):
     """Fused phase grid + cos/sin (REPRO_KERNEL_BACKEND=numba).
 
     One float32 pass per (sample, voxel) cell with no materialized phase
-    matrix.  Reference and simulated kernel share :func:`_phase_terms`,
+    matrix.  Reference and simulated kernel share :func:`_phase_tiles`,
     so within one process both see the same trigonometry.
     """
     two_pi = np.float32(2.0 * np.pi)
@@ -79,56 +65,62 @@ def _build_compiled_phase_terms(numba):
     return phase_terms
 
 
-def _phase_terms(k_coords, voxels, scratch):
-    """(cos(arg), sin(arg)) of the phase grid, via scratch when given."""
+def _phase_tiles(k_coords, voxels):
+    """Yield ``(lo, hi, cos(arg), sin(arg))`` one voxel tile at a time.
+
+    ``arg`` is the phase grid of :func:`phase_matrix` restricted to voxels
+    ``[lo, hi)``.  The tile buffers are made per call and reused across
+    its tiles, so no (samples x voxels) array outlives the call and none
+    is larger than a tile; each yielded pair is overwritten by the next.
+    """
+    k_coords = k_coords.astype(np.float32, copy=False)
+    voxels = voxels.astype(np.float32, copy=False)
+    n_samples = k_coords.shape[0]
+    n_voxels = voxels.shape[0]
+    width = max(PHASE_TILE_MIN_VOXELS, PHASE_TILE_CELLS // max(n_samples, 1))
     compiled = backend.compiled(
         "mri-phase-terms", _build_compiled_phase_terms
     )
-    if compiled is not None:
-        shape = (k_coords.shape[0], voxels.shape[0])
-        if scratch is None:
-            cos_out = np.empty(shape, dtype=np.float32)
-            sin_out = np.empty(shape, dtype=np.float32)
+    cells = n_samples * min(width, n_voxels)
+    cos_buffer = np.empty(cells, dtype=np.float32)
+    sin_buffer = np.empty(cells, dtype=np.float32)
+    arg_buffer = None if compiled is not None else np.empty_like(cos_buffer)
+    for lo in range(0, n_voxels, width):
+        hi = min(lo + width, n_voxels)
+        # Flat buffers reshaped per tile keep a short last tile contiguous.
+        shape = (n_samples, hi - lo)
+        size = n_samples * (hi - lo)
+        cos_arg = cos_buffer[:size].reshape(shape)
+        sin_arg = sin_buffer[:size].reshape(shape)
+        if compiled is not None:
+            compiled(k_coords, voxels[lo:hi], cos_arg, sin_arg)
         else:
-            cos_out = scratch.take("cos", shape)
-            sin_out = scratch.take("sin", shape)
-        compiled(
-            k_coords.astype(np.float32, copy=False),
-            voxels.astype(np.float32, copy=False),
-            cos_out, sin_out,
-        )
-        return cos_out, sin_out
-    if scratch is None:
-        arg = phase_matrix(k_coords, voxels)
-        return np.cos(arg), np.sin(arg)
-    shape = (k_coords.shape[0], voxels.shape[0])
-    arg = phase_matrix(k_coords, voxels, out=scratch.take("arg", shape))
-    return (
-        np.cos(arg, out=scratch.take("cos", shape)),
-        np.sin(arg, out=scratch.take("sin", shape)),
-    )
+            arg = phase_matrix(
+                k_coords, voxels[lo:hi], out=arg_buffer[:size].reshape(shape)
+            )
+            np.cos(arg, out=cos_arg)
+            np.sin(arg, out=sin_arg)
+        yield lo, hi, cos_arg, sin_arg
 
 
-def fhd_reference(k_coords, phi_r, phi_i, voxels, scratch=None):
+def fhd_reference(k_coords, phi_r, phi_i, voxels):
     """(rFhD, iFhD) per voxel."""
-    cos_arg, sin_arg = _phase_terms(k_coords, voxels, scratch)
-    r_fhd = phi_r @ cos_arg + phi_i @ sin_arg
-    i_fhd = phi_i @ cos_arg - phi_r @ sin_arg
-    return (
-        r_fhd.astype(np.float32, copy=False),
-        i_fhd.astype(np.float32, copy=False),
-    )
+    r_fhd = np.empty(voxels.shape[0], dtype=np.float32)
+    i_fhd = np.empty_like(r_fhd)
+    for lo, hi, cos_arg, sin_arg in _phase_tiles(k_coords, voxels):
+        r_fhd[lo:hi] = phi_r @ cos_arg + phi_i @ sin_arg
+        i_fhd[lo:hi] = phi_i @ cos_arg - phi_r @ sin_arg
+    return r_fhd, i_fhd
 
 
-def q_reference(k_coords, phi_magnitude, voxels, scratch=None):
+def q_reference(k_coords, phi_magnitude, voxels):
     """(rQ, iQ) per voxel for the scanner-configuration matrix Q."""
-    cos_arg, sin_arg = _phase_terms(k_coords, voxels, scratch)
-    r_q = phi_magnitude @ cos_arg
-    i_q = phi_magnitude @ sin_arg
-    return (
-        r_q.astype(np.float32, copy=False),
-        i_q.astype(np.float32, copy=False),
-    )
+    r_q = np.empty(voxels.shape[0], dtype=np.float32)
+    i_q = np.empty_like(r_q)
+    for lo, hi, cos_arg, sin_arg in _phase_tiles(k_coords, voxels):
+        r_q[lo:hi] = phi_magnitude @ cos_arg
+        i_q[lo:hi] = phi_magnitude @ sin_arg
+    return r_q, i_q
 
 
 def make_samples(rng, count):

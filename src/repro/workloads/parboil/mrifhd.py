@@ -14,7 +14,6 @@ from repro.analysis.contracts import access_modes
 from repro.cuda.kernels import Kernel
 from repro.workloads.base import Workload, ValueMemo, memoized_input
 from repro.workloads.parboil.mri_common import (
-    KERNEL_SCRATCH,
     fhd_reference,
     make_samples,
     make_voxels,
@@ -33,8 +32,7 @@ def _fhd_fn(gpu, samples, voxels, r_out, i_out, n_samples, n_voxels):
     if cached is None:
         cached = _FHD_MEMO.store(
             (n_samples, n_voxels), inputs,
-            fhd_reference(rows[:, :3], rows[:, 3], rows[:, 4], coords,
-                          scratch=KERNEL_SCRATCH),
+            fhd_reference(rows[:, :3], rows[:, 3], rows[:, 4], coords),
         )
     r_fhd, i_fhd = cached
     gpu.view(r_out, "f4", n_voxels)[:] = r_fhd
@@ -42,7 +40,7 @@ def _fhd_fn(gpu, samples, voxels, r_out, i_out, n_samples, n_voxels):
 
 
 def _fhd_batched(gpu, launches):
-    """Per-launch replay through the shared phase-grid scratch."""
+    """Per-launch replay (FHd is a one-shot kernel)."""
     for args in launches:
         _fhd_fn(gpu, **args)
 

@@ -14,7 +14,6 @@ from repro.analysis.contracts import access_modes
 from repro.cuda.kernels import Kernel
 from repro.workloads.base import Workload, ValueMemo, memoized_input
 from repro.workloads.parboil.mri_common import (
-    KERNEL_SCRATCH,
     q_reference,
     make_voxels,
 )
@@ -33,8 +32,7 @@ def _q_fn(gpu, k_coords, phi_mag, voxels, q_out, n_samples, n_voxels):
     if cached is None:
         cached = _Q_MEMO.store(
             (n_samples, n_voxels), inputs,
-            q_reference(coords_k, magnitude, coords_v,
-                        scratch=KERNEL_SCRATCH),
+            q_reference(coords_k, magnitude, coords_v),
         )
     r_q, i_q = cached
     out = gpu.view(q_out, "f4", 2 * n_voxels)
@@ -45,9 +43,8 @@ def _q_fn(gpu, k_coords, phi_mag, voxels, q_out, n_samples, n_voxels):
 def _q_batched(gpu, launches):
     """Per-launch replay (Q is a one-shot kernel; batches are length 1).
 
-    The batched form still pays off: it routes every deferred evaluation
-    through the shared phase-grid scratch, and identical back-to-back
-    launches keep the single-pass semantics of replaying each in order.
+    Identical back-to-back launches keep the single-pass semantics of
+    replaying each in order.
     """
     for args in launches:
         _q_fn(gpu, **args)

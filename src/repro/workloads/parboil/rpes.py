@@ -19,7 +19,9 @@ CPU_STREAM_RATE = 2.0e9
 def rys_term(params, root):
     """One quadrature term: a cubic polynomial of the root per integral.
 
-    The oracle's form; the kernel runs :func:`accumulate_roots`.
+    The oracle's form (:meth:`RysPolynomial.reference`); the kernel runs
+    :func:`accumulate_roots`.  ``params`` is the four coefficient rows of
+    the integrals it covers, flat or shaped ``(4, n)``.
     """
     p0, p1, p2, p3 = params.reshape(4, -1)
     t = np.float32(root)
@@ -29,6 +31,10 @@ def rys_term(params, root):
 #: Integrals per tile of the kernel engine: a tile's parameters,
 #: accumulator and term buffer (768 KiB) stay in L2 across every root.
 ROOT_TILE = 1 << 15
+
+#: Integrals per tile of the oracle: a tile's parameters, accumulator and
+#: :func:`rys_term`'s temporaries stay in L2 across every root.
+ORACLE_TILE = 1 << 14
 
 
 def accumulate_roots(table, acc, roots, weights):
@@ -125,9 +131,16 @@ class RysPolynomial(Workload):
         return 4 * self.n_integrals
 
     def reference(self):
+        # Every root on one tile of integrals at a time, in root order:
+        # elementwise float32 arithmetic, so bit-identical to applying
+        # each root to the whole accumulator.
+        columns = self.params.reshape(4, -1)
         acc = np.zeros(self.n_integrals, dtype=np.float32)
-        for root, weight in zip(self.roots, self.weights):
-            acc += weight * rys_term(self.params, root)
+        for lo in range(0, self.n_integrals, ORACLE_TILE):
+            hi = min(lo + ORACLE_TILE, self.n_integrals)
+            tile = acc[lo:hi]
+            for root, weight in zip(self.roots, self.weights):
+                tile += weight * rys_term(columns[:, lo:hi], root)
         return {"integrals": acc}
 
     def run_cuda(self, app):

@@ -234,15 +234,22 @@ class TestPnsEngines:
         marking=arrays(np.int32, st.integers(1, 48), elements=INT32),
         seeds=arrays(np.int32, st.integers(1, 24), elements=INT32),
         tile=TILES,
+        oracle_tile=TILES,
     )
     def test_all_engines_match_int32_rounds(
-            self, compiled_sweep, marking, seeds, tile):
+            self, compiled_sweep, marking, seeds, tile, oracle_tile):
         expected = _int32_rounds(marking, seeds).tobytes()
         with _tiled(pns, "SWEEP_TILE", tile):
             narrow = pns.fire_rounds(marking, seeds)
         assert _widened(narrow, marking).tobytes() == expected
         compiled = compiled_sweep(marking, seeds, np.empty_like(marking))
         assert compiled.tobytes() == expected
+        out = np.empty_like(marking)
+        with _tiled(pns, "ORACLE_TILE", oracle_tile), \
+                np.errstate(over="ignore"):
+            oracle = pns.oracle_rounds(marking, seeds, out)
+        assert oracle is out
+        assert oracle.tobytes() == expected
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -292,7 +299,8 @@ FLOAT32 = st.floats(-1e4, 1e4, width=32)
 
 
 class TestRpesEngine:
-    """The tiled, batched rpes engine against the per-root oracle."""
+    """The tiled, batched rpes engine and the tiled oracle against the
+    per-root rule."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -315,6 +323,27 @@ class TestRpesEngine:
         with _tiled(rpes, "ROOT_TILE", tile):
             rpes.accumulate_roots(table, acc, roots, weights)
         assert acc.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_integrals=st.integers(1, 40),
+        n_roots=st.integers(1, 70),
+        seed=st.integers(0, 2 ** 16),
+        tile=TILES,
+    )
+    def test_oracle_matches_root_by_root(
+            self, n_integrals, n_roots, seed, tile):
+        workload = rpes.RysPolynomial(
+            n_integrals=n_integrals, n_roots=n_roots, seed=seed
+        )
+        expected = _root_by_root(
+            workload.params, np.zeros(n_integrals, dtype=np.float32),
+            workload.roots, workload.weights,
+        )
+        with _tiled(rpes, "ORACLE_TILE", tile):
+            oracle = workload.reference()["integrals"]
+        assert oracle.dtype == np.float32
+        assert oracle.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("mode, protocol", [
         ("cuda", "rolling"), ("gmac", "lazy"),

@@ -275,9 +275,11 @@ class TestReadOnlyOperands:
         gmac = result.extra["gmac"]
         regions = {region.name: region for region in gmac.manager.regions()}
         transitions = regions["transitions"]
-        # The written operands do take snapshots: the spy sees them.
-        assert regions["stats"].device_start in snapshotted
-        assert transitions.device_start not in snapshotted
+        # The spy sees kernel-time writes to the written operands, and
+        # post_sync discards every region before its first fetch, so no
+        # operand is snapshotted.
+        assert regions["stats"].device_start in written_in_kernels
+        assert snapshotted == []
         assert transitions.device_start not in written_in_kernels
         mapping = gmac.process.address_space.mapping_at(
             transitions.host_start

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.util.errors import ReproError
+from repro.experiments.common import make_workload
 from repro.workloads.base import Workload, WorkloadResult
 from repro.workloads.vecadd import VectorAdd
 
@@ -62,6 +63,39 @@ class TestVerification:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ReproError):
             self.Lying().execute(mode="vulkan")
+
+    @pytest.mark.parametrize("name, key", [
+        ("pns", "samples"), ("sad", "sad-table.out"),
+    ])
+    def test_integer_output_off_by_one_fails(self, name, key, monkeypatch):
+        """An integer output compares exactly: raising its largest element
+        by one is a relative error under 1e-4 on pns samples and sad SADs,
+        which a float tolerance would forgive."""
+        workload = make_workload(name, quick=True)
+        honest = type(workload).run_cuda
+
+        def off_by_one(self, app):
+            outputs = dict(honest(self, app))
+            value = np.array(outputs[key], copy=True)
+            value.flat[np.argmax(value)] += 1
+            outputs[key] = value
+            return outputs
+
+        assert workload.execute(mode="cuda").verified is True
+        monkeypatch.setattr(type(workload), "run_cuda", off_by_one)
+        assert workload.execute(mode="cuda").verified is False
+
+    def test_float_output_keeps_its_tolerance(self):
+        class Rounded(self.Lying):
+            name = "rounded"
+
+            def run_cuda(self, app):
+                return {"out": np.full(4, 1 + 1e-6, dtype=np.float32)}
+
+            def reference(self):
+                return {"out": np.ones(4, dtype=np.float32)}
+
+        assert Rounded().execute(mode="cuda").verified is True
 
 
 class TestRepeatedExecution:

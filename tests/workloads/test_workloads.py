@@ -6,6 +6,7 @@ up here as a numerical mismatch.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.util.units import KB, MB
 from repro.hw.machine import reference_system, integrated_system
@@ -96,6 +97,52 @@ class TestPnsOracleIndependence:
         assert np.array_equal(
             oracle["final_marking"], expected["final_marking"]
         )
+
+
+def _untiled_pns_reference(workload):
+    """The pns oracle as one whole-ring ``fire_step`` per iteration."""
+    marking = workload.initial.copy()
+    samples = []
+    for iteration in range(workload.iterations):
+        marking = pns.fire_step(marking, workload._seed_for(iteration))
+        if (iteration + 1) % workload.sample_interval == 0:
+            samples.append(int(marking[:256].sum()) & 0x7FFFFFFF)
+    return np.asarray(samples, dtype=np.int64), marking
+
+
+class TestPnsTiledOracle:
+    """The oracle runs a sample interval of rounds per tiled pass; its
+    outputs equal one whole-ring round per iteration, byte for byte."""
+
+    # Seeds index the first 1024 transitions, so n_places >= 1024; the
+    # drawn tiles split such a ring into up to 64 tiles.  The example
+    # ends on a short interval, which takes no sample.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_places=st.integers(1024, 1536),
+        iterations=st.integers(1, 40),
+        sample_interval=st.integers(1, 12),
+        seed=st.integers(0, 2 ** 16),
+        tile=st.one_of(st.none(), st.integers(24, 512)),
+    )
+    @example(n_places=1100, iterations=21, sample_interval=8, seed=3,
+             tile=100)
+    def test_reference_equals_untiled_loop(
+            self, n_places, iterations, sample_interval, seed, tile):
+        workload = pns.PetriNet(
+            n_places=n_places, iterations=iterations,
+            sample_interval=sample_interval, seed=seed,
+        )
+        samples, marking = _untiled_pns_reference(workload)
+        with pytest.MonkeyPatch.context() as patch:
+            if tile is not None:
+                patch.setattr(pns, "ORACLE_TILE", tile)
+            reference = workload.reference()
+        assert len(samples) == iterations // sample_interval
+        assert reference["samples"].dtype == np.int64
+        assert reference["samples"].tobytes() == samples.tobytes()
+        assert reference["final_marking"].dtype == np.int32
+        assert reference["final_marking"].tobytes() == marking.tobytes()
 
 
 class TestSadValueReuse:
