@@ -1,11 +1,14 @@
-"""Transfer-ledger byte-identity gate: lazy vs eager quick sweep.
+"""Transfer-ledger byte-identity gate: lazy vs eager quick sweeps.
 
 The ledger's whole contract is that it changes *when* bytes move, never
-*what* bytes are observed (DESIGN.md §14).  This gate runs the serial
-quick figure sweep twice in fresh interpreters — once with the default
-lazy engine and once with ``REPRO_EAGER_TRANSFERS=1`` — hashes every
-``SpecOutcome.canonical_bytes()`` in both, and fails on the first
-divergent spec.  It also fails if the lazy sweep's measured
+*what* bytes are observed (DESIGN.md §14), and deferred kernels change
+only when numerics run (§9).  This gate runs the serial quick figure
+sweep three times in fresh interpreters — with the default engines
+(deferred kernels, lazy ledger), with ``REPRO_EAGER_TRANSFERS=1``, and
+fully eager (``REPRO_EAGER_KERNELS=1`` as well, so nothing records or
+replays) — hashes every ``SpecOutcome.canonical_bytes()`` in each, and
+fails on any spec whose three digests are not equal.  It also fails if
+the lazy sweep's measured
 ``elided_fraction`` drops below a floor: an engine that stops eliding is
 paying the ledger's bookkeeping for nothing, which is its own
 regression even while outputs stay identical.
@@ -39,17 +42,27 @@ specs = expand(["fig7", "fig8", "fig9", "fig10", "fig11", "fig12"],
 digests = {}
 for spec in specs:
     outcome = spec.execute()
-    digests[repr(spec.key)] = hashlib.sha256(
+    digests[spec.key()] = hashlib.sha256(
         outcome.canonical_bytes()
     ).hexdigest()
 print(json.dumps({"digests": digests, "ledger": ledger_counters()}))
 """
 
 
-def _run_sweep(eager):
+#: Engine switches per sweep: ``(REPRO_EAGER_KERNELS,
+#: REPRO_EAGER_TRANSFERS)``.  ``lazy`` is the default engine.
+SWEEPS = {
+    "lazy": ("0", "0"),
+    "eager": ("0", "1"),
+    "fully_eager": ("1", "1"),
+}
+
+
+def _run_sweep(eager_kernels, eager_transfers):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
-    env["REPRO_EAGER_TRANSFERS"] = "1" if eager else "0"
+    env["REPRO_EAGER_KERNELS"] = eager_kernels
+    env["REPRO_EAGER_TRANSFERS"] = eager_transfers
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD],
         capture_output=True, text=True, check=True, env=env,
@@ -58,18 +71,20 @@ def _run_sweep(eager):
 
 
 def run_benchmark(output_path=OUTPUT_PATH):
-    lazy = _run_sweep(eager=False)
-    eager = _run_sweep(eager=True)
+    sweeps = {name: _run_sweep(*env) for name, env in SWEEPS.items()}
+    lazy = sweeps["lazy"]
+    keys = set().union(*(sweep["digests"] for sweep in sweeps.values()))
     divergent = sorted(
-        key for key in lazy["digests"]
-        if eager["digests"].get(key) != lazy["digests"][key]
+        key for key in keys
+        if len({sweep["digests"].get(key) for sweep in sweeps.values()}) != 1
     )
     report = {
         "spec_count": len(lazy["digests"]),
         "divergent_specs": divergent,
         "identical": not divergent,
         "lazy_ledger": lazy["ledger"],
-        "eager_ledger": eager["ledger"],
+        "eager_ledger": sweeps["eager"]["ledger"],
+        "fully_eager_ledger": sweeps["fully_eager"]["ledger"],
         "elided_fraction": lazy["ledger"]["elided_fraction"],
         "elided_floor": ELIDED_FLOOR,
         "elision_ok": lazy["ledger"]["elided_fraction"] >= ELIDED_FLOOR,
@@ -81,22 +96,24 @@ def run_benchmark(output_path=OUTPUT_PATH):
 def test_lazy_and_eager_sweeps_are_byte_identical():
     report = run_benchmark()
     assert report["identical"], (
-        f"{len(report['divergent_specs'])} spec(s) diverge between lazy "
-        f"and eager transfer engines: {report['divergent_specs'][:5]}"
+        f"{len(report['divergent_specs'])} spec(s) diverge between the "
+        f"lazy, eager-transfer and fully eager engines: "
+        f"{report['divergent_specs'][:5]}"
     )
     assert report["elision_ok"], (
         f"lazy sweep elided_fraction {report['elided_fraction']:.3f} fell "
         f"below the {ELIDED_FLOOR} floor: the ledger has stopped eliding"
     )
-    # The eager sweep must be genuinely eager (no ledger activity at all).
+    # The eager sweeps must be genuinely eager (no ledger activity at all).
     assert report["eager_ledger"]["bytes_deferred"] == 0
+    assert report["fully_eager_ledger"]["bytes_deferred"] == 0
 
 
 def main():
     report = run_benchmark()
     print(json.dumps(report, indent=2, sort_keys=True))
     if not report["identical"]:
-        print("DIVERGENCE between lazy and eager sweeps", file=sys.stderr)
+        print("DIVERGENCE between the three sweeps", file=sys.stderr)
         return 1
     if not report["elision_ok"]:
         print(

@@ -32,6 +32,7 @@ from repro.analysis.report import (
     Violation,
     write_report,
 )
+from repro.sim.tracing import CoherenceEvent
 
 __all__ = [
     "CoherenceModelChecker",
@@ -75,6 +76,8 @@ class Sanitizer:
         self.races = RaceDetector(gmac.machine.clock)
         gmac.accounting.coherence = self.checker
         self.races.attach(gmac)
+        for gpu in gmac.machine.gpus:
+            gpu.unreplayed_hook = self._unreplayed
         #: Launch-time declaration verification, armed only when the
         #: active protocol carries declared access modes: a wrong
         #: annotation then becomes a precise violation instead of silent
@@ -102,7 +105,16 @@ class Sanitizer:
         merged["violations"] = len(self.violations)
         return merged
 
+    def _unreplayed(self, missed: int) -> None:
+        """The host read ledger bytes naming launches that never replayed."""
+        self.checker.record(CoherenceEvent(
+            "materialize", self.gmac.machine.clock.now,
+            detail=f"pending={missed}",
+        ))
+
     def detach(self) -> None:
+        for gpu in self.gmac.machine.gpus:
+            gpu.unreplayed_hook = None
         self.races.detach()
         self.gmac.accounting.coherence = None
         if self.contracts is not None:

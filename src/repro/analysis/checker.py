@@ -26,15 +26,19 @@ claim (sets the bits the claim asserts), so one protocol bug yields one
 violation at its first observable event rather than a cascade of
 downstream noise.
 
-The transfer ledger (DESIGN.md §14) needs no checker changes: a fetch
-that records a deferred extent still makes the *host* logically valid —
-the entry's versioned bytes are the host copy, materialized on first
-observation — and a delta-trimmed flush still makes the device valid, so
-``host_valid``/``device_valid`` keep their meaning unmodified.  The
-``pending=`` sample on fetch events (the deferred-numerics barrier
-check) is taken inside the ledger's record path at the same point an
-eager copy would observe device bytes, which is what lets the
-ledger-bypass mutation trip the existing ``barrier-bypass`` rule.
+The transfer ledger (DESIGN.md §14) leaves ``host_valid`` and
+``device_valid`` their meaning: a fetch that records a deferred extent
+still makes the *host* logically valid — the entry names the launch
+version whose bytes are the host copy, materialized on first observation
+— and a delta-trimmed flush still makes the device valid.  The
+deferred-numerics barrier is checked twice under one rule,
+``barrier-bypass``.  The ``pending=`` sample on a fetch event counts the
+queued writers of the block's allocation that the fetched host bytes do
+not account for: 0 for a record (it names the latest version) and for an
+eager copy (it replayed first), so a copy around the ledger trips it.  A
+``materialize`` event, sent by the sanitizer's ``Gpu.unreplayed_hook``,
+reports host bytes read from an entry whose launches never replayed, so
+a broken replay barrier trips it.
 """
 
 from __future__ import annotations
@@ -265,6 +269,16 @@ class CoherenceModelChecker:
                 "stale: the transfer clobbers newer device data",
             )
         model.device_valid[index] = True
+
+    def _on_materialize(self, event: Any) -> None:
+        """The host read recorded bytes: their launches must have run."""
+        pending = int(event.detail.split("=", 1)[1])
+        if pending > 0:
+            self._flag(
+                event, "barrier-bypass",
+                f"host read ledger bytes that miss {pending} queued kernel "
+                "launch(es): the read bypassed the replay barrier",
+            )
 
     def _on_fetch(self, event: Any) -> None:
         """Device-to-host transfer: the device must be idle and fresh."""

@@ -236,11 +236,14 @@ def _sync_touches_released_object(self: Any) -> Any:
     return _REAL_SYNC(self)
 
 
-def _observed_without_materialize(self: Any) -> None:
-    """Bug 9: device-byte reads skip the deferred-numerics barrier."""
+def _observed_without_materialize(self: Any, device: bool = True) -> None:
+    """Bug 9: byte observers skip the deferred-numerics barrier.
+
+    Fetches record ledger entries without replaying, so the bug shows
+    when the host reads an entry whose launches never replayed."""
     if self._replaying:
         return
-    if self.observe_hook is not None:
+    if device and self.observe_hook is not None:
         self.observe_hook()
 
 

@@ -282,9 +282,10 @@ class Gmac:
         """adsmSync: wait for the accelerator and re-acquire objects.
 
         Re-acquisition is a *protection/state* action: batch-update
-        fetches whole objects here (a device-byte read, which flushes any
-        deferred kernel numerics), while lazy/rolling merely invalidate
-        mappings and defer the fetch to the first host fault.  The sync
+        fetches whole objects here (ledger records that name the launch
+        count, so deferred kernel numerics replay only when the host reads
+        them), while lazy/rolling merely invalidate mappings and defer the
+        fetch to the first host fault.  The sync
         wait itself observes only completions — virtual time — so with
         lazy/rolling a call/sync loop accumulates a batchable queue of
         kernel numerics (see DESIGN.md §9).

@@ -142,7 +142,9 @@ class AcceleratorLayer:
 
         Recovery uses this to pin down device bytes at a known point;
         normal coherence traffic never needs it (every byte observer
-        flushes through the device memory's observation barrier).
+        flushes through the device memory's observation barrier, and the
+        host replays the launches a ledger record names before reading
+        it).
         """
         for context in self.contexts:
             context.gpu.materialize()

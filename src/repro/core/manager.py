@@ -24,12 +24,7 @@ import numpy as np
 from repro.util.errors import AllocationError, GmacError
 from repro.util.intervals import Interval, RangeMap
 from repro.hw.interconnect import Direction
-from repro.hw.memory import (
-    discard_host_range,
-    ledger_bind,
-    ledger_release,
-    ledger_unbind,
-)
+from repro.hw.memory import ledger_bind, ledger_release, ledger_unbind
 from repro.util.avltree import AvlTree
 from repro.sim.tracing import Category, CoherenceEvent
 from repro.os.paging import Prot
@@ -428,11 +423,12 @@ class Manager:
     def fetch_index(self, region, index):
         """Fetch one block by (region, index) — no façade materialized.
 
-        This is the coherence-side materialization barrier for deferred
-        kernel numerics: the D2H copy reads device bytes, so the device
-        memory's observation hook replays any queued kernels first.  A
-        host fault that lands here therefore always sees post-kernel data,
-        exactly as with the old eager engine.
+        A deferred fetch records a ledger entry naming the owning Gpu's
+        launch count and replays no queued kernel; the host replays that
+        far when it reads the block (DESIGN.md §14).  An eager fetch reads
+        device bytes, so the observation barrier replays first.  Either
+        way a host fault that lands here sees post-kernel data, exactly as
+        with the old eager engine.
         """
         table = region.table
         host_start = table.start_of(index)
@@ -454,13 +450,16 @@ class Manager:
                     label=region.fetch_label,
                     device=region.owner,
                 )
-        # Sampled *after* the transfer: the D2H read is a materialization
-        # barrier, so a non-zero pending count here means deferred kernel
-        # numerics were NOT replayed before host bytes were produced.
-        self.note_coherence(
-            "fetch", region.name, index, index,
-            detail=f"pending={self.layer.gpu_for(region.owner).pending_numerics}",
-        )
+        # Sampled *after* the transfer, and only for a sanitizer: a
+        # non-zero count means the fetched host bytes miss queued kernel
+        # writes, i.e. the copy went around both the ledger and the barrier.
+        if self.accounting.coherence is not None:
+            pending = self.layer.gpu_for(region.owner).fetch_pending(
+                device_start, size
+            )
+            self.note_coherence(
+                "fetch", region.name, index, index, detail=f"pending={pending}"
+            )
         return result
 
     def _bind_transfer_plane(self, region):
@@ -493,20 +492,6 @@ class Manager:
         gpu = self.layer.gpu_for(region.owner)
         ledger_unbind(gpu.memory, region.device_start, mapping)
         ledger_release(mapping)
-
-    def discard_host_blocks(self, region, first, last):
-        """Pre-fetch hint to the transfer ledger: blocks ``[first, last]``
-        are about to be overwritten by device fetches, so outstanding
-        entries over them are dead weight — killing them now avoids the
-        COW snapshots the fetch's own numerics replay would otherwise take
-        for bytes nobody will ever read.  Safe because callers fetch the
-        whole span before any host access to it."""
-        mapping = self.process.address_space.mapping_at(region.host_start)
-        if mapping is None or mapping.plane is None:
-            return
-        table = region.table
-        start = table.start_of(first)
-        discard_host_range(mapping, start, table.end_of(last) - start)
 
     def ensure_device_canonical(self, region, interval):
         """Make the accelerator copy of ``interval`` valid.
@@ -546,7 +531,6 @@ class Manager:
         window = region.table.states[first:last + 1]
         invalid = np.flatnonzero(window == INVALID_CODE) + first
         for run_first, run_last in index_runs(invalid):
-            self.discard_host_blocks(region, run_first, run_last)
             for index in range(run_first, run_last + 1):
                 self.fetch_index(region, index)
             self.set_index_range(

@@ -49,15 +49,6 @@ class BatchUpdate(Protocol):
 
     def post_sync(self, regions):
         # Everything back, implicitly invalidating the accelerator copy.
-        # The fetch-all is announced to the transfer ledger first, for
-        # every region before any fetch: every outstanding entry from the
-        # previous round is about to be superseded, so killing them all
-        # up front keeps the first fetch's numerics replay from
-        # COW-snapshotting doomed bytes, a later region's included.
-        for region in regions:
-            self.manager.discard_host_blocks(
-                region, 0, region.table.n_blocks - 1
-            )
         for region in regions:
             for index in range(region.table.n_blocks):
                 self.manager.fetch_index(region, index)
@@ -66,7 +57,6 @@ class BatchUpdate(Protocol):
     def invalidate_region(self, region):
         # Without fault detection the host copy must be refreshed eagerly.
         table = region.table
-        self.manager.discard_host_blocks(region, 0, table.n_blocks - 1)
         for index in range(table.n_blocks):
             self.manager.fetch_index(region, index)
         self.manager.set_states_only(region, BlockState.DIRTY)

@@ -280,12 +280,13 @@ class DriverContext:
     def memcpy_d2h(self, host, device, size, stream=None, sync=True):
         """Copy device -> host.  Returns the transfer Completion.
 
-        In deferred mode this records a versioned ledger extent against the
-        destination mapping instead of copying; the bytes materialize when
-        the host range is observed.  Faults fire at charge time, the link
-        is charged for the full ``size``, and the device-side observation
-        barrier (numerics materialization) runs at record time — the event
-        stream is identical to an eager copy's.
+        In deferred mode this records a ledger extent against the
+        destination mapping instead of copying; the extent names the GPU's
+        launch count, and its bytes materialize, after the launches it
+        names replay, when the host range is observed.  Faults fire at
+        charge time and the link is charged for the full ``size``, so the
+        event stream is identical to an eager copy's; only the eager copy
+        replays queued kernel numerics here.
         """
         self._driver_call()
         self._check_alive()

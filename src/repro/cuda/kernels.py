@@ -7,7 +7,8 @@ touched.  The GPU spec converts those into execution seconds.
 
 Timing is charged at launch (so launches stay asynchronous on the virtual
 clock), but the numerics are *deferred*: the GPU queues them and replays
-the queue the first time anything observes device-memory bytes (see
+the queue the first time anything reads or writes device-memory bytes, or
+the host reads a transfer-ledger record naming a queued launch (see
 ``hw/gpu.py``).  A kernel may provide ``batched_fn`` to evaluate a run of
 consecutive queued launches in one vectorized pass; ``batch_by`` names the
 scalar arguments allowed to vary inside such a run.

@@ -10,9 +10,10 @@ editing experiment table/rendering code (which only projects outcomes)
 leaves the cache warm.
 
 Writes are atomic (temp file + rename) and every rename is verified after
-the fact — the visible file must load back as an entry for the spec being
-written — so concurrent sweeps (or two pool workers finishing the same
-deduped spec) sharing a cache directory never observe torn entries.
+the fact — the visible file must hold the bytes just written, or load back
+as an entry for the spec being written (a concurrent writer's) — so
+concurrent sweeps (or two pool workers finishing the same deduped spec)
+sharing a cache directory never observe torn entries.
 
 Alongside the outcome pickles the cache keeps **timing metadata**
 (``timings.json``): the last recorded host-seconds per spec, keyed by the
@@ -100,21 +101,22 @@ class ResultCache:
         Each writer stages into its own temp file and renames, so two
         workers finishing the same deduped spec race only at the rename —
         whichever entry wins is a complete pickle for the same key.  The
-        post-rename verify re-reads whatever is visible and accepts any
-        valid entry for this spec (ours or the concurrent winner's); a
-        failed verify rewrites once, then raises instead of leaving a
+        post-rename verify re-reads whatever is visible: our own bytes pass
+        as they are, and only different bytes (a concurrent winner's) are
+        unpickled and accepted when they hold a valid entry for this spec.
+        A failed verify rewrites once, then raises instead of leaving a
         corrupt entry behind.
         """
         path = self._path(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
+        data = pickle.dumps({
             "key": spec.key(),
             "fingerprint": source_fingerprint(),
             "outcome": outcome,
-        }
+        }, protocol=pickle.HIGHEST_PROTOCOL)
         for attempt in (1, 2):
-            self._write_atomic(path, entry)
-            if self._verify_entry(path, spec):
+            self._write_atomic(path, data)
+            if self._verify_entry(path, spec, data):
                 return
         raise OSError(
             f"result-cache entry {path.name} failed post-rename "
@@ -122,13 +124,13 @@ class ResultCache:
         )
 
     @staticmethod
-    def _write_atomic(path, entry):
+    def _write_atomic(path, data):
         fd, tmp_name = tempfile.mkstemp(
             dir=str(path.parent), suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(entry, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(data)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -137,13 +139,19 @@ class ResultCache:
                 pass
             raise
 
-    def _verify_entry(self, path, spec):
-        """The visible entry loads and fingerprints as one for ``spec``."""
+    def _verify_entry(self, path, spec, data):
+        """The visible entry is ``data``, or loads and fingerprints as one
+        for ``spec``."""
         try:
-            with open(path, "rb") as handle:
-                entry = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+            visible = path.read_bytes()
+        except OSError:
+            return False
+        if visible == data:
+            return True
+        try:
+            entry = pickle.loads(visible)
+        except (pickle.UnpicklingError, EOFError, AttributeError,
+                ImportError, IndexError, ValueError):
             return False
         return (
             isinstance(entry, dict)

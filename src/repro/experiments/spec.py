@@ -144,14 +144,23 @@ class RunSpec:
         )
 
     def key(self):
-        """Canonical JSON key (stable across processes and sessions)."""
-        fields = asdict(self)
-        # The numpy backend is the baseline every existing key was minted
-        # under; only a non-default backend joins the key, so historical
-        # cache entries (and golden key fixtures) stay addressable.
-        if fields.get("backend") == "numpy":
-            del fields["backend"]
-        return json.dumps(fields, sort_keys=True, default=str)
+        """Canonical JSON key (stable across processes and sessions).
+
+        Computed once per spec: the fields are frozen, and the executor
+        and the result cache ask for the key several times per run.
+        """
+        key = self.__dict__.get("_key")
+        if key is None:
+            fields = asdict(self)
+            # The numpy backend is the baseline every existing key was
+            # minted under; only a non-default backend joins the key, so
+            # historical cache entries (and golden key fixtures) stay
+            # addressable.
+            if fields.get("backend") == "numpy":
+                del fields["backend"]
+            key = json.dumps(fields, sort_keys=True, default=str)
+            self.__dict__["_key"] = key
+        return key
 
     def cost_hint(self):
         """Spec-declared relative execution cost, for dispatch ordering.

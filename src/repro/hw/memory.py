@@ -12,14 +12,17 @@ addresses in multi-GPU setups) stays realistic.
 This module is also the home of the **transfer ledger** (DESIGN.md §14):
 the only two host<->device byte-copy entry points in the repository are
 :func:`copy_h2d` and :func:`copy_d2h` (lint rule R006 enforces this).  In
-the default lazy mode a device->host transfer records a versioned extent
-entry against the destination mapping instead of copying — the virtual
-``Link`` cost is charged by the caller exactly as before — and the bytes
-materialize only when the host range is actually observed.  Host->device
-transfers stay eager (the device side has no fault hook) but copy only the
-*delta*: host-dirty runs plus runs not known to already match the device.
-Sources of outstanding entries are protected by copy-on-write, so the
-ledger changes *when* bytes move, never *what* bytes are observed.
+the default lazy mode a device->host transfer records an extent entry
+against the destination mapping instead of copying — the virtual ``Link``
+cost is charged by the caller exactly as before — and the bytes
+materialize only when the host range is actually observed.  An entry names
+the owning Gpu's launch count at record time, its *version*: it stands for
+the source bytes after every launch queued before it, so recording
+replays no deferred kernel (DESIGN.md §9).  Host->device transfers stay
+eager (the device side has no fault hook) but copy only the *delta*:
+host-dirty runs plus runs not known to already match the device.  Sources
+of outstanding entries are protected by copy-on-write, so the ledger
+changes *when* bytes move, never *what* bytes are observed.
 """
 
 import bisect
@@ -53,10 +56,6 @@ _LEDGER_COUNTERS = {
     "flush_bytes_copied": 0,
     "flush_bytes_skipped": 0,
 }
-
-#: Monotonic version stamp for recorded transfer extents.
-_VERSIONS = itertools.count(1)
-
 
 def reset_ledger_counters():
     for key in _LEDGER_COUNTERS:
@@ -176,15 +175,20 @@ class _LedgerEntry:
     device resets and migrations: the array stays alive for exactly as
     long as some entry still needs it.  ``deps`` points back at the source
     allocation's dependent list so entries created by a split can register
-    themselves for COW; a snapshot clears it.
+    themselves for COW; a snapshot clears it.  ``version`` is ``gpu``'s
+    launch count at record time: the entry holds the source bytes after
+    every launch queued before it, and the host may read a zero-copy entry
+    only once ``gpu`` has replayed that far (``gpu`` is None for a memory
+    no Gpu owns).
     """
 
     __slots__ = (
         "host_lo", "host_hi", "buffer", "buf_offset", "version", "dead",
-        "deps",
+        "deps", "gpu",
     )
 
-    def __init__(self, host_lo, host_hi, buffer, buf_offset, version, deps):
+    def __init__(self, host_lo, host_hi, buffer, buf_offset, version, deps,
+                 gpu):
         self.host_lo = host_lo
         self.host_hi = host_hi
         self.buffer = buffer
@@ -192,6 +196,14 @@ class _LedgerEntry:
         self.version = version
         self.dead = False
         self.deps = deps
+        self.gpu = gpu
+
+
+def _replay_for(entry):
+    """The host is about to read ``entry``'s bytes: the launches it names
+    replay first (a snapshot already holds its bytes)."""
+    if entry.gpu is not None and entry.deps is not None:
+        entry.gpu.replay_to(entry.version)
 
 
 class MappingPlane:
@@ -231,7 +243,8 @@ class MappingPlane:
     def host_read(self, lo, size):
         """The host is about to observe ``[lo, lo+size)``: materialize any
         overlapping entries (whole — entries are block-sized and splitting
-        on read would only re-copy the remainder later)."""
+        on read would only re-copy the remainder later), replaying the
+        launches an entry names first when its Gpu has not yet."""
         entries = self.entries
         if not entries:
             return
@@ -242,6 +255,7 @@ class MappingPlane:
             if entry.host_hi <= lo or entry.host_lo >= hi:
                 keep.append(entry)
                 continue
+            _replay_for(entry)
             length = entry.host_hi - entry.host_lo
             backing[entry.host_lo:entry.host_hi] = entry.buffer[
                 entry.buf_offset:entry.buf_offset + length
@@ -272,8 +286,9 @@ class MappingPlane:
         """Destroy entry coverage of ``[lo, hi)`` without copying a byte.
 
         Partial overlaps split: the surviving head/tail keeps the source
-        reference (adjusted offset) and re-registers with the source
-        allocation's dependent list so later device writes still COW it.
+        reference (adjusted offset) and version, and re-registers with the
+        source allocation's dependent list so later device writes still
+        COW it.
         """
         entries = self.entries
         keep = []
@@ -293,6 +308,7 @@ class MappingPlane:
                 tail = _LedgerEntry(
                     hi, e_hi, entry.buffer,
                     entry.buf_offset + (hi - e_lo), entry.version, entry.deps,
+                    entry.gpu,
                 )
                 if entry.deps is not None:
                     entry.deps.append(tail)
@@ -350,12 +366,16 @@ def _segments(lo, hi, entries):
 
 
 class _Allocation:
-    __slots__ = ("interval", "buffer", "plane")
+    __slots__ = ("interval", "buffer", "plane", "writer")
 
     def __init__(self, interval):
         self.interval = interval
         self.buffer = np.zeros(interval.size, dtype=np.uint8)
         self.plane = None
+        #: Version of the last launch queued to write this allocation
+        #: (``Kernel.writes``; a kernel without it writes every
+        #: allocation); set by the owning Gpu.
+        self.writer = 0
 
 
 class DeviceMemory:
@@ -366,15 +386,21 @@ class DeviceMemory:
     DEFAULT_ALIGNMENT = 4096
 
     #: Observation hook: called (no arguments) before any byte-level access
-    #: — ``read``/``write``/``fill``/``view``/``expose`` — and before
-    #: ``free`` drops an allocation's buffer.  The owning
-    #: :class:`~repro.hw.gpu.Gpu` installs its numerics-materialization
-    #: barrier here, so *every* path that can observe device bytes (driver
-    #: copies, peer DMA, coherence fetches, kernel views, direct test
-    #: access) flushes deferred kernels first.  Allocator metadata
-    #: operations (``alloc``/``alloc_at``) observe no bytes and do not
-    #: fire the hook.
+    #: — ``read``/``write``/``fill``/``view``/``expose`` — before ``free``
+    #: drops an allocation's buffer, and before a delta flush writes its
+    #: first byte.  The owning :class:`~repro.hw.gpu.Gpu` installs its
+    #: numerics-materialization barrier here, so every path that reads or
+    #: writes device bytes (eager copies, peer DMA, kernel views, direct
+    #: test access) flushes deferred kernels first.  A ledger record reads
+    #: no byte: it names a launch version instead, and the host replays up
+    #: to it when it reads the entry.  Allocator metadata operations
+    #: (``alloc``/``alloc_at``) observe no bytes and do not fire the hook.
     on_observe = None
+
+    #: The owning :class:`~repro.hw.gpu.Gpu`, or None: the source of the
+    #: launch versions ledger records name and of the queued writers a
+    #: flush and a copy-on-write consult.
+    gpu = None
 
     #: Incarnation tokens: a fresh DeviceMemory (initial attach or a
     #: ``Gpu.reset``) gets a new one, which is how mapping planes learn
@@ -533,10 +559,12 @@ class DeviceMemory:
     def expose(self, address, size):
         """Fire the observation barrier, then locate ``address``.
 
-        The ledger's record/flush entry points go through this so deferred
-        kernel numerics materialize at exactly the moments the eager
-        engine's ``view`` calls used to force them — the event stream the
-        model checker replays is identical in both transfer modes.
+        The eager-transfer paths of the ledger entry points go through
+        this, since they copy bytes at once.  A deferred record does not:
+        it names the launch version instead, and its bytes replay when the
+        host reads them.  The sanitizer's ``Gpu.observe_hook`` fires for
+        both, so the race detector sees the same device observations in
+        both transfer modes.
         """
         if self.on_observe is not None:
             self.on_observe()
@@ -546,10 +574,11 @@ class DeviceMemory:
         """Pre-write hook for every device byte mutation.
 
         Copy-on-write: outstanding ledger entries sourced from the written
-        range snapshot their bytes first.  Bound host mappings un-sync the
-        overlap, so the next delta flush re-copies it.  Runs regardless of
-        the numerics-replay flag — replayed kernel writes mutate real
-        bytes just the same.
+        range snapshot their bytes first.  During a replay only entries
+        recorded before the replaying launch do; a later record names the
+        bytes that launch produces (the Gpu splits a batched run at every
+        version a live entry names, so none falls inside it).  Bound host
+        mappings un-sync the overlap, so the next delta flush re-copies it.
         """
         plane = allocation.plane
         if plane is None:
@@ -558,13 +587,15 @@ class DeviceMemory:
         deps = plane.dependents
         if deps:
             buffer = allocation.buffer
+            running = self.gpu.running if self.gpu is not None else None
             keep = []
             for entry in deps:
                 if entry.dead or entry.buffer is not buffer:
                     continue
                 e_lo = entry.buf_offset
                 e_hi = e_lo + (entry.host_hi - entry.host_lo)
-                if e_lo < end and e_hi > offset:
+                if (e_lo < end and e_hi > offset
+                        and (running is None or entry.version < running)):
                     entry.buffer = buffer[e_lo:e_hi].copy()
                     entry.buf_offset = 0
                     entry.deps = None
@@ -626,6 +657,57 @@ class DeviceMemory:
             view.flags.writeable = False
         return view
 
+    # -- launch versions ----------------------------------------------------
+
+    @staticmethod
+    def entry_versions(allocations):
+        """Versions named by live zero-copy entries sourced from
+        ``allocations``: a batched replay writing them must end at each."""
+        versions = set()
+        for allocation in allocations:
+            plane = allocation.plane
+            if plane is None:
+                continue
+            buffer = allocation.buffer
+            versions.update(
+                entry.version for entry in plane.dependents
+                if not entry.dead and entry.buffer is buffer
+            )
+        return versions
+
+    def resync(self, allocations):
+        """After a replay wrote ``allocations``: a live zero-copy entry
+        still sourced there holds the allocation's current bytes (an older
+        one was snapshotted), so its host range matches the device again
+        where it is bound to that very range."""
+        for allocation in allocations:
+            plane = allocation.plane
+            if plane is None or not plane.dependents:
+                continue
+            buffer = allocation.buffer
+            for _, _, mplane, delta in plane.bindings:
+                synced = mplane.sync_runs(self.token)
+                for entry in mplane.entries:
+                    if (entry.buffer is buffer
+                            and entry.buf_offset - entry.host_lo == -delta):
+                        synced.add(entry.host_lo, entry.host_hi)
+
+    def recorded_version(self, address, size):
+        """The version a fetch of ``[address, +size)`` that recorded a
+        ledger entry named, sampled just after it: that record is the
+        newest entry sourced from the allocation.  None when the fetch
+        recorded nothing there."""
+        allocation = self._find(address)
+        plane = allocation.plane if allocation is not None else None
+        if plane is None or not plane.dependents:
+            return None
+        entry = plane.dependents[-1]
+        if (entry.dead or entry.buffer is not allocation.buffer
+                or entry.buf_offset != address - allocation.interval.start
+                or entry.host_hi - entry.host_lo != size):
+            return None
+        return entry.version
+
 
 # -- transfer ledger entry points -------------------------------------------
 
@@ -655,6 +737,13 @@ def _plane_for(mapping):
     return plane
 
 
+def _device_plane(allocation):
+    dplane = allocation.plane
+    if dplane is None:
+        dplane = allocation.plane = DevicePlane()
+    return dplane
+
+
 def _insert_entry(plane, entry):
     entries = plane.entries
     index = len(entries)
@@ -674,11 +763,9 @@ def ledger_bind(memory, device_start, mapping, host_start, size, synced=False):
     """
     allocation, dev_off = memory._locate(device_start, size)
     plane = _plane_for(mapping)
-    dplane = allocation.plane
-    if dplane is None:
-        dplane = allocation.plane = DevicePlane()
     host_lo = host_start - mapping.start
-    _ensure_binding(allocation, dplane, plane, host_lo - dev_off)
+    _ensure_binding(allocation, _device_plane(allocation), plane,
+                    host_lo - dev_off)
     if synced:
         plane.sync_runs(memory.token).add(host_lo, host_lo + size)
 
@@ -715,25 +802,15 @@ def ledger_release(mapping):
     mapping.plane = None
 
 
-def discard_host_range(mapping, host_start, size):
-    """Pre-fetch hint: the caller is about to overwrite this host range
-    with device fetches, so outstanding entries (and the COW snapshots
-    they would otherwise force during the fetch's numerics replay) are
-    dead weight.  Kills entry coverage without copying a byte."""
-    plane = mapping.plane
-    if plane is None or not plane.entries:
-        return
-    lo = host_start - mapping.start
-    plane._kill_range(lo, lo + size)
-
-
 def copy_d2h(memory, device, mapping, host, size, deferred=False):
     """Device->host copy entry point (one of the only two; lint rule R006).
 
     Returns the number of bytes physically copied now — 0 for a recorded
     (deferred) transfer.  Callers charge the virtual link cost for the
     full ``size`` either way: the ledger changes when bytes move, never
-    what the timeline sees.
+    what the timeline sees.  A record replays no queued kernel: it names
+    the owning Gpu's launch count, and the host replays that far when it
+    reads the entry.
     """
     lo = host - mapping.start
     hi = lo + size
@@ -742,13 +819,13 @@ def copy_d2h(memory, device, mapping, host, size, deferred=False):
         if plane.entries:
             # This fetch supersedes any older entries over the range.
             plane._kill_range(lo, hi)
-        allocation, offset = memory.expose(device, size)
-        dplane = allocation.plane
-        if dplane is None:
-            dplane = allocation.plane = DevicePlane()
+        allocation, offset = memory._locate(device, size)
+        gpu = memory.gpu
+        version = gpu.observe_version() if gpu is not None else 0
+        dplane = _device_plane(allocation)
         entry = _LedgerEntry(
-            lo, hi, allocation.buffer, offset, next(_VERSIONS),
-            dplane.dependents,
+            lo, hi, allocation.buffer, offset, version, dplane.dependents,
+            gpu,
         )
         dplane.dependents.append(entry)
         _insert_entry(plane, entry)
@@ -776,13 +853,15 @@ def copy_h2d(memory, device, mapping, host, size, deferred=False):
     have no fault hook, so flushes cannot defer — but in deferred mode
     only the *delta* moves: runs that are host-dirty or not known synced.
     Live same-source entry runs are skipped outright (the device already
-    holds those very bytes).  Returns bytes physically copied.
+    holds those very bytes).  Queued kernels replay before the first
+    device byte is written; a flush with an empty delta writes none and
+    is no barrier.  Returns bytes physically copied.
     """
     lo = host - mapping.start
     hi = lo + size
     plane = mapping.plane
-    allocation, offset = memory.expose(device, size)
     if not deferred or plane is None:
+        allocation, offset = memory.expose(device, size)
         if plane is not None and plane.entries:
             # Entries are part of the host-logical bytes; fold them into
             # the backing store before the whole-range copy below.
@@ -793,39 +872,71 @@ def copy_h2d(memory, device, mapping, host, size, deferred=False):
             plane.sync_runs(memory.token).add(lo, hi)
             plane.dirty.discard(lo, hi)
         return size
+    allocation, offset = memory._locate(device, size)
     delta = lo - offset
-    dplane = allocation.plane
-    if dplane is None:
-        dplane = allocation.plane = DevicePlane()
-    _ensure_binding(allocation, dplane, plane, delta)
+    _ensure_binding(allocation, _device_plane(allocation), plane, delta)
     synced = plane.sync_runs(memory.token)
-    need = _delta_runs(lo, hi, synced, plane.dirty)
+    gpu = memory.gpu
+    writer = gpu.queued_writer(allocation) if gpu is not None else 0
+    segments = _flush_segments(
+        plane, synced, lo, hi, allocation, delta, writer
+    )
+    if segments:
+        # Queued kernels consume the device bytes of their launch time, so
+        # they replay before the first byte lands.
+        if memory.on_observe is not None:
+            memory.on_observe()
+        if writer:
+            # The replay rewrote the destination: recompute the delta
+            # against the synced runs it left.
+            segments = _flush_segments(
+                plane, synced, lo, hi, allocation, delta, 0
+            )
+    elif gpu is not None:
+        gpu.observe_version()
+    buffer = allocation.buffer
+    backing = mapping.backing
     copied = 0
-    if need:
-        buffer = allocation.buffer
-        backing = mapping.backing
-        entries = plane._overlapping(lo, hi)
-        for run_lo, run_hi in need:
-            for seg_lo, seg_hi, entry in _segments(run_lo, run_hi, entries):
-                length = seg_hi - seg_lo
-                if (entry is not None and entry.buffer is buffer
-                        and entry.buf_offset - entry.host_lo == -delta):
-                    # Live entry sourced from this very device range: the
-                    # device already holds these logical bytes.
-                    continue
-                memory._device_write(allocation, seg_lo - delta, length)
-                if entry is None:
-                    buffer[seg_lo - delta:seg_hi - delta] = backing[
-                        seg_lo:seg_hi
-                    ]
-                else:
-                    e_off = entry.buf_offset + (seg_lo - entry.host_lo)
-                    buffer[seg_lo - delta:seg_hi - delta] = entry.buffer[
-                        e_off:e_off + length
-                    ]
-                copied += length
+    for seg_lo, seg_hi, entry in segments:
+        length = seg_hi - seg_lo
+        memory._device_write(allocation, seg_lo - delta, length)
+        if entry is None:
+            buffer[seg_lo - delta:seg_hi - delta] = backing[seg_lo:seg_hi]
+        else:
+            _replay_for(entry)
+            e_off = entry.buf_offset + (seg_lo - entry.host_lo)
+            buffer[seg_lo - delta:seg_hi - delta] = entry.buffer[
+                e_off:e_off + length
+            ]
+        copied += length
     synced.add(lo, hi)
     plane.dirty.discard(lo, hi)
     _LEDGER_COUNTERS["flush_bytes_copied"] += copied
     _LEDGER_COUNTERS["flush_bytes_skipped"] += size - copied
     return copied
+
+
+def _flush_segments(plane, synced, lo, hi, allocation, delta, writer):
+    """``(seg_lo, seg_hi, entry-or-None)`` pieces of ``[lo, hi)`` a delta
+    flush must write into ``allocation``.
+
+    A live entry sourced from this very device range is skipped: the
+    device already holds its bytes.  While a launch writing the
+    destination is queued (``writer`` is its version), ``synced`` may be
+    stale there, so the whole range is considered and only entries that
+    name ``writer`` or a later version are skipped.
+    """
+    need = [(lo, hi)] if writer else _delta_runs(lo, hi, synced, plane.dirty)
+    if not need:
+        return []
+    buffer = allocation.buffer
+    entries = plane._overlapping(lo, hi)
+    out = []
+    for run_lo, run_hi in need:
+        for seg_lo, seg_hi, entry in _segments(run_lo, run_hi, entries):
+            if (entry is not None and entry.buffer is buffer
+                    and entry.buf_offset - entry.host_lo == -delta
+                    and entry.version >= writer):
+                continue
+            out.append((seg_lo, seg_hi, entry))
+    return out

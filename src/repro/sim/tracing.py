@@ -64,8 +64,11 @@ class CoherenceEvent:
     * ``transition`` — blocks ``first..last`` of ``region`` entered
       ``state`` (the Figure 6 edge itself);
     * ``flush`` / ``fetch`` — per-block data movement (``detail`` carries
-      ``sync``/``eager`` for flushes and the pending deferred-numerics
-      count for fetches);
+      ``sync``/``eager`` for flushes and, for fetches, ``pending=`` the
+      queued kernel writers of the block the fetched host bytes miss);
+    * ``materialize`` — the host read ledger bytes naming kernel launches
+      that never replayed (``detail`` is ``pending=`` their count; sent
+      by the sanitizer only);
     * ``evict`` — rolling-update eagerly evicted block ``first``;
     * ``limit`` — the rolling size changed (``detail`` = new limit);
     * ``bulk`` — a device-side memset/memcpy/peer-DMA made the device

@@ -172,9 +172,10 @@ def _pns_fn(gpu, places, transitions, stats, n_places, iteration):
 
 #: Byte-exact reuse of whole batched sweeps: figure sweeps run the same
 #: marking trajectory once per mode/protocol/figure, so each (input
-#: marking, seed vector) recurs many times.  Keyed by sweep length so the
-#: flush-per-iteration protocols (length-1 sweeps) cannot churn the
-#: entries of the deep-queue ones.
+#: marking, seed vector) recurs many times.  Keyed by sweep length.  Every
+#: protocol replays one sweep per sample interval (batch-update's fetches
+#: record ledger versions instead of replaying), so the cuda, batch, lazy
+#: and rolling runs of a figure share entries.
 _SWEEP_MEMO = ValueMemo(max_entries=12)
 
 
@@ -216,10 +217,11 @@ def _pns_batched(gpu, launches):
     transition structure is constant across the batch — it is not in
     ``batch_by``, and any host write to it would have flushed the queue),
     the rounds run in :func:`fire_rounds`'s uint8 lanes, and only the
-    *final* marking and statistics are stored: intermediate device states
-    are unobservable between materialization barriers by construction, so
-    the resulting device bytes are identical to running ``_pns_fn`` K
-    times while skipping K-1 full-vector stat reductions and writebacks.
+    *final* marking and statistics are stored: the Gpu ends a batch at
+    every launch version a live ledger entry names, so no intermediate
+    device state is ever observed, and the resulting device bytes are
+    identical to running ``_pns_fn`` K times while skipping K-1
+    full-vector stat reductions and writebacks.
     """
     first = launches[0]
     n_places = first["n_places"]

@@ -156,6 +156,16 @@ class TestDataMovement:
         )
         assert rules == ["barrier-bypass"]
 
+    def test_host_reading_unreplayed_ledger_bytes_is_a_barrier_bypass(self):
+        checker = CoherenceModelChecker()
+        rules = feed(
+            checker,
+            alloc(blocks=1),
+            ev("materialize", region="", detail="pending=0"),
+            ev("materialize", region="", detail="pending=1"),
+        )
+        assert rules == ["barrier-bypass"]
+
     def test_fetch_while_dirty_clobbers_host_writes(self):
         checker = CoherenceModelChecker()
         rules = feed(

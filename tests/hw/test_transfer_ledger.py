@@ -6,17 +6,19 @@ Two layers (DESIGN.md §14):
   both the dirty tracker and the synced map — is property-tested against a
   plain Python set of byte indices.
 * The ledger itself is tested by *parity*: two machines, one deferring
-  transfers and one eager, are driven through identical random interleavings
-  of transfers, host writes, device writes, PCIe fault storms and device
-  loss (``Gpu.reset`` via the driver's revive path); every host read and the
+  kernel numerics and transfers and one running both eagerly, are driven
+  through identical random interleavings of transfers, host writes, device
+  writes, kernel launches and syncs, PCIe fault storms and device loss
+  (``Gpu.reset`` via the driver's revive path); every host read and the
   final host-canonical/device bytes must match byte for byte.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cuda.driver import DriverContext
+from repro.cuda.kernels import Kernel
 from repro.faults.plan import FaultPlan
 from repro.hw.machine import reference_system
 from repro.hw.memory import RunSet, ledger_bind, ledger_counters
@@ -86,12 +88,42 @@ class TestRunSetModel:
 
 SIZE = 8192
 
+#: Extents are drawn on a grid of eighths of the allocation, so records,
+#: launches and flushes of one range collide often.
+EIGHTH = SIZE // 8
+
+
+def _add_fn(gpu, dst, n, value):
+    view = gpu.view(dst, "u1", n)
+    np.add(view, np.uint8(value), out=view)
+
+
+def _add_batch(gpu, args_list):
+    # A batched pass produces only the run's final bytes, so a ledger entry
+    # naming a version inside the run is wrong unless the run is split.
+    first = args_list[0]
+    total = sum(args["value"] for args in args_list) % 256
+    view = gpu.view(first["dst"], "u1", first["n"])
+    np.add(view, np.uint8(total), out=view)
+
+
+#: Batchable, declares what it writes, adds ``value`` over ``[dst, +n)``.
+_ADD = Kernel(
+    "ledger-add", _add_fn, cost=lambda dst, n, value: (n, 2 * n),
+    writes=("dst",), batched_fn=_add_batch, batch_by=("value",),
+)
+
 
 class _Rig:
-    """One machine + driver context + one ledger-bound host mapping."""
+    """One machine + driver context + one ledger-bound host mapping.
+
+    ``defer`` defers both kernel numerics and transfers (the default
+    engines); otherwise both run eagerly."""
 
     def __init__(self, defer, fault_rate=0.0):
-        self.machine = reference_system(defer_transfers=defer)
+        self.machine = reference_system(
+            defer_numerics=defer, defer_transfers=defer
+        )
         if fault_rate:
             self.machine.install_faults(
                 FaultPlan(seed=7, transfer_fault_rate=fault_rate)
@@ -132,6 +164,13 @@ class _Rig:
             elif kind == "dev_read":
                 _, lo, length = op
                 return self.ctx.gpu.memory.read(self.dev + lo, length)
+            elif kind == "launch":
+                _, lo, length, value = op
+                self.ctx.launch(
+                    _ADD, {"dst": self.dev + lo, "n": length, "value": value}
+                )
+            elif kind == "sync":
+                self.ctx.synchronize()
             elif kind == "lose_device":
                 # Device loss mid-stream: all on-board bytes are gone; the
                 # driver revives the device and replays the allocation at
@@ -150,13 +189,23 @@ class _Rig:
 
 
 _extent = st.tuples(
-    st.integers(min_value=0, max_value=SIZE - 1),
-    st.integers(min_value=1, max_value=SIZE),
-).map(lambda pair: (pair[0], min(pair[1], SIZE - pair[0])))
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=1, max_value=8),
+).map(lambda pair: (pair[0] * EIGHTH, min(pair[1], 8 - pair[0]) * EIGHTH))
 
-_step = st.one_of(
+#: Transfers and launches are drawn twice as often as the other steps, so
+#: a record, a queued launch and a flush of one range meet more often.
+_transfer_or_launch = st.one_of(
     _extent.map(lambda e: ("h2d", e[0], e[1])),
     _extent.map(lambda e: ("d2h", e[0], e[1])),
+    st.tuples(_extent, st.integers(1, 255)).map(
+        lambda t: ("launch", t[0][0], t[0][1], t[1])
+    ),
+)
+
+_step = st.one_of(
+    _transfer_or_launch,
+    _transfer_or_launch,
     st.tuples(_extent, st.integers(1, 255)).map(
         lambda t: ("host_write", t[0][0], t[0][1], t[1])
     ),
@@ -165,21 +214,43 @@ _step = st.one_of(
         lambda t: ("dev_fill", t[0][0], t[0][1], t[1])
     ),
     _extent.map(lambda e: ("dev_read", e[0], e[1])),
+    st.just(("sync",)),
     st.just(("lose_device",)),
 )
 
+#: Orders in which a record, a queued launch and an observer of the same
+#: range meet: the flush must not trust a record older than the launch,
+#: the host must see the bytes of the version its record names, and a
+#: dying device must leave the recorded bytes behind.
+_RECORD_LAUNCH_FLUSH = [
+    ("d2h", 0, SIZE), ("launch", 0, SIZE, 5), ("sync",), ("h2d", 0, SIZE),
+]
+_LAUNCH_RECORD_LAUNCH_READ = [
+    ("launch", 0, SIZE, 3), ("sync",), ("d2h", 0, SIZE),
+    ("launch", 0, SIZE, 4), ("sync",), ("host_read", 0, SIZE),
+]
+_RECORD_LAUNCH_LOSS = [
+    ("d2h", 0, SIZE), ("launch", 0, SIZE, 9), ("lose_device",),
+]
+
 
 class TestInterleavingParity:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(ops=st.lists(_step, min_size=1, max_size=30))
+    @example(ops=_RECORD_LAUNCH_FLUSH)
+    @example(ops=_LAUNCH_RECORD_LAUNCH_READ)
+    @example(ops=_RECORD_LAUNCH_LOSS)
     def test_random_interleavings_match_eager(self, ops):
         lazy, eager = _Rig(defer=True), _Rig(defer=False)
         for op in ops:
             assert lazy.apply(op) == eager.apply(op), op
         assert lazy.final_state() == eager.final_state()
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(ops=st.lists(_step, min_size=1, max_size=20))
+    @example(ops=_RECORD_LAUNCH_FLUSH)
+    @example(ops=_LAUNCH_RECORD_LAUNCH_READ)
+    @example(ops=_RECORD_LAUNCH_LOSS)
     def test_fault_storm_parity(self, ops):
         """A seeded PCIe fault storm fires at identical points in both
         modes (deferred transfers fault at charge time) and leaves
@@ -276,8 +347,8 @@ class TestReadOnlyOperands:
         regions = {region.name: region for region in gmac.manager.regions()}
         transitions = regions["transitions"]
         # The spy sees kernel-time writes to the written operands, and
-        # post_sync discards every region before its first fetch, so no
-        # operand is snapshotted.
+        # each fetch supersedes the previous round's entry before any
+        # replay runs, so no operand is snapshotted.
         assert regions["stats"].device_start in written_in_kernels
         assert snapshotted == []
         assert transitions.device_start not in written_in_kernels
@@ -289,3 +360,49 @@ class TestReadOnlyOperands:
         assert synced.runs_in(lo, lo + transitions.mapped_size) == [
             (lo, lo + transitions.mapped_size)
         ]
+
+
+class TestVersionedRecords:
+    def test_record_names_a_version_and_replays_nothing(self):
+        """A deferred D2H records the launch count instead of replaying;
+        the host replays that far when it reads the entry."""
+        rig = _Rig(defer=True)
+        gpu = rig.ctx.gpu
+        rig.apply(("launch", 0, SIZE, 7))
+        rig.apply(("d2h", 0, SIZE))
+        assert gpu.pending_numerics == 1
+        (entry,) = rig.mapping.plane.entries
+        assert entry.version == gpu.launches == 1
+        assert rig.apply(("host_read", 0, SIZE)) == b"\x07" * SIZE
+        assert gpu.pending_numerics == 0
+
+    def test_flush_of_a_current_record_is_no_barrier(self):
+        """Flushing back bytes a record of the latest version names moves
+        nothing, so it does not replay the queued launch."""
+        rig = _Rig(defer=True)
+        rig.apply(("launch", 0, SIZE, 7))
+        rig.apply(("d2h", 0, SIZE))
+        copied = ledger_counters()["flush_bytes_copied"]
+        rig.apply(("h2d", 0, SIZE))
+        assert rig.ctx.gpu.pending_numerics == 1
+        assert ledger_counters()["flush_bytes_copied"] == copied
+
+    @pytest.mark.parametrize("name, protocol", [
+        ("pns", "batch"), ("pns", "lazy"), ("rpes", "batch"),
+        ("rpes", "lazy"),
+    ])
+    def test_batch_replays_as_often_as_lazy(self, name, protocol):
+        """Batch-update fetches every object after every call, but its
+        fetches record versions, so it replays the queue once per pns
+        sample interval and once for all rpes roots, as lazy-update does
+        (the one-replay-per-call engine replayed 48 and 16 times)."""
+        from repro.experiments.common import make_workload
+
+        workload = make_workload(name, quick=True)
+        result = workload.execute(mode="gmac", protocol=protocol)
+        assert result.verified
+        replays = (
+            workload.iterations // workload.sample_interval
+            if name == "pns" else 1
+        )
+        assert result.extra["gmac"].machine.gpu.numerics_flushes == replays
