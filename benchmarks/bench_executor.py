@@ -32,10 +32,10 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SWEEP = ["fig7", "fig8", "fig9", "fig10", "fig11", "fig12"]
 
 
-def _timed_sweep(jobs, cache_dir, pool):
+def _timed_sweep(jobs, cache_dir):
     """Prime the whole sweep from scratch; returns (wall s, stats, counters)."""
     common.clear_cache()
-    executor = ExperimentExecutor(jobs=jobs, cache_dir=cache_dir, pool=pool)
+    executor = ExperimentExecutor(jobs=jobs, cache_dir=cache_dir)
     specs = expand(SWEEP, quick=True)
     start = time.perf_counter()  # sanitizer: allow[R003] - real wall time
     try:
@@ -65,9 +65,9 @@ def _speedup_gate():
 
 def test_sweep_serial_vs_persistent(tmp_path, request):
     jobs = max(4, request.config.getoption("--jobs"))
-    serial_s, serial_stats, _ = _timed_sweep(1, tmp_path / "serial", "serial")
+    serial_s, serial_stats, _ = _timed_sweep(1, tmp_path / "serial")
     parallel_s, parallel_stats, counters = _timed_sweep(
-        jobs, tmp_path / "parallel", "persistent"
+        jobs, tmp_path / "parallel"
     )
 
     # Both sweeps ran everything (cold caches) over the same spec list.
@@ -87,9 +87,7 @@ def test_sweep_serial_vs_persistent(tmp_path, request):
 
     # Warm re-prime: the cache-aware dispatch short-circuits everything in
     # the parent — zero executions, zero workers.
-    warm = ExperimentExecutor(
-        jobs=jobs, cache_dir=tmp_path / "parallel", pool="persistent"
-    )
+    warm = ExperimentExecutor(jobs=jobs, cache_dir=tmp_path / "parallel")
     try:
         with warm.cache_context():
             warm.prime(expand(SWEEP, quick=True))

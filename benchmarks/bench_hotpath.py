@@ -69,16 +69,6 @@ _CHILD = r"""
 import json, sys, time
 import numpy as np
 
-# Keep freed simulation buffers resident in the malloc arena so repeat
-# runs touch warm pages (the production entry points do the same; the
-# baseline recording run reuses this child against engines predating it).
-try:
-    from repro.util.hostalloc import retain_arena
-except ImportError:
-    pass
-else:
-    retain_arena()
-
 
 def calibrate_once():
     start = time.perf_counter()
@@ -322,15 +312,14 @@ def write_profile(path, top=25):
 
 
 def profile_artifact_path(path):
-    """Stamp backend and scale into a profile artifact's filename.
+    """Stamp the scale into a profile artifact's filename.
 
-    A numba-backend or paper-scale profile is a different hot path from
-    the default; uploading them all as ``profile.txt`` made CI artifacts
-    overwrite each other and left the configuration unrecoverable.
+    A paper-scale profile is a different hot path from the default;
+    uploading both as ``profile.txt`` made CI artifacts overwrite each
+    other and left the configuration unrecoverable.
     """
     path = pathlib.Path(path)
-    stamp = environment_stamp()
-    tag = f"{stamp['backend']}-{stamp['scale']}"
+    tag = environment_stamp()["scale"]
     if tag in path.stem:
         return path
     suffix = path.suffix or ".txt"

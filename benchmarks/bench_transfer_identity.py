@@ -4,9 +4,10 @@ The ledger's whole contract is that it changes *when* bytes move, never
 *what* bytes are observed (DESIGN.md §14), and deferred kernels change
 only when numerics run (§9).  This gate runs the serial quick figure
 sweep three times in fresh interpreters — with the default engines
-(deferred kernels, lazy ledger), with ``REPRO_EAGER_TRANSFERS=1``, and
-fully eager (``REPRO_EAGER_KERNELS=1`` as well, so nothing records or
-replays) — hashes every ``SpecOutcome.canonical_bytes()`` in each, and
+(deferred kernels, lazy ledger), with eager transfers, and fully eager
+(eager kernels as well, so nothing records or replays; each child sets
+:mod:`repro.hw.gpu`'s two defaults before the first Gpu exists) —
+hashes every ``SpecOutcome.canonical_bytes()`` in each, and
 fails on any spec whose three digests are not equal.  It also fails if
 the lazy sweep's measured
 ``elided_fraction`` drops below a floor: an engine that stops eliding is
@@ -32,9 +33,13 @@ OUTPUT_PATH = ROOT / "BENCH_transfer_identity.json"
 ELIDED_FLOOR = 0.25
 
 _CHILD = r"""
-import hashlib, json
+import hashlib, json, sys
+import repro.hw.gpu as gpu
 from repro.experiments.executor import expand
 from repro.hw.memory import ledger_counters, reset_ledger_counters
+
+gpu.DEFAULT_DEFER_NUMERICS = sys.argv[1] == "defer"
+gpu.DEFAULT_DEFER_TRANSFERS = sys.argv[2] == "defer"
 
 reset_ledger_counters()
 specs = expand(["fig7", "fig8", "fig9", "fig10", "fig11", "fig12"],
@@ -49,22 +54,20 @@ print(json.dumps({"digests": digests, "ledger": ledger_counters()}))
 """
 
 
-#: Engine switches per sweep: ``(REPRO_EAGER_KERNELS,
-#: REPRO_EAGER_TRANSFERS)``.  ``lazy`` is the default engine.
+#: Engines per sweep: ``(kernels, transfers)``.  ``lazy`` is the
+#: default engine.
 SWEEPS = {
-    "lazy": ("0", "0"),
-    "eager": ("0", "1"),
-    "fully_eager": ("1", "1"),
+    "lazy": ("defer", "defer"),
+    "eager": ("defer", "eager"),
+    "fully_eager": ("eager", "eager"),
 }
 
 
-def _run_sweep(eager_kernels, eager_transfers):
+def _run_sweep(kernels, transfers):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
-    env["REPRO_EAGER_KERNELS"] = eager_kernels
-    env["REPRO_EAGER_TRANSFERS"] = eager_transfers
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD],
+        [sys.executable, "-c", _CHILD, kernels, transfers],
         capture_output=True, text=True, check=True, env=env,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])

@@ -32,14 +32,6 @@ def pytest_addoption(parser):
             help="ignore the persistent result cache under results/cache/",
         )
         group.addoption(
-            "--pool", choices=("persistent", "fork", "serial"),
-            default="persistent",
-            help=(
-                "sweep engine shape (engine configuration only; results "
-                "are byte-identical across shapes)"
-            ),
-        )
-        group.addoption(
             "--sanitize", action="store_true",
             help=(
                 "arm the coherence model checker and kernel-window race "
@@ -73,14 +65,13 @@ def _option(config, name, default):
 
 @pytest.fixture
 def executor(request):
-    """The sweep executor configured from the --jobs/--pool/--no-cache options."""
+    """The sweep executor configured from the --jobs/--no-cache options."""
     instance = ExperimentExecutor(
         jobs=_option(request.config, "--jobs", 1),
         use_cache=not (
             _option(request.config, "--no-cache", False)
             or _option(request.config, "--sanitize", False)
         ),
-        pool=_option(request.config, "--pool", "persistent"),
     )
     yield instance
     instance.close()

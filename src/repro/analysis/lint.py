@@ -33,8 +33,8 @@ general-purpose linter knows about:
     the model checker.
 
 ``R005``
-    No ``multiprocessing.Pool`` construction outside the executor engine
-    (``experiments/executor.py``, ``experiments/pool.py``).  Ad-hoc pools
+    No ``multiprocessing.Pool`` construction outside the worker-pool
+    engine (``experiments/pool.py``).  Ad-hoc pools
     fork before the parent pre-warm, dodge the persistent engine's
     shared-memory plane and crash supervision, and their sweeps never
     reach the result caches deterministically — all fan-out goes through
@@ -70,7 +70,7 @@ RULES: Dict[str, str] = {
     "R002": "bytes() copy where a buffer view would do",
     "R003": "unseeded randomness or wall-clock in simulation code",
     "R004": "protocol block-state mutation outside the coherence core",
-    "R005": "multiprocessing pool constructed outside the executor engine",
+    "R005": "multiprocessing pool constructed outside the worker-pool engine",
     "R006": "host<->device byte copy outside the ledger entry points",
 }
 
@@ -87,8 +87,8 @@ _WALL_CLOCK = {
 _STATE_CORE = (
     "core/protocols/", "core/manager.py", "core/blocks.py", "core/region.py",
 )
-#: The only modules allowed to build worker pools: the sweep engine.
-_POOL_CORE = ("experiments/executor.py", "experiments/pool.py")
+#: The only module allowed to build worker pools: the sweep engine.
+_POOL_CORE = ("experiments/pool.py",)
 #: The only module allowed to move bytes between host and device stores:
 #: the transfer-ledger entry points live here (DESIGN.md §14).
 _LEDGER_CORE = ("hw/memory.py",)
@@ -290,7 +290,7 @@ class _Visitor(ast.NodeVisitor):
 
     def _check_pool_construction(self, node: ast.Call) -> None:
         """Flag ``multiprocessing.Pool(...)`` / ``context.Pool(...)`` /
-        bare ``Pool(...)`` anywhere outside the executor engine."""
+        bare ``Pool(...)`` anywhere outside the worker-pool engine."""
         if self.in_pool_core:
             return
         func = node.func

@@ -134,13 +134,6 @@ class BlockTable:
     def count_in(self, state):
         return int(np.count_nonzero(self.states == state.code))
 
-    def run_length(self, first, last, code):
-        """Length of the run of blocks in state ``code`` starting at
-        ``first``, clipped to the inclusive window [first, last]."""
-        window = self.states[first:last + 1]
-        breaks = np.flatnonzero(window != code)
-        return int(breaks[0]) if len(breaks) else len(window)
-
 
 def index_runs(indices):
     """Group an ascending index array into inclusive (first, last) runs.

@@ -17,8 +17,6 @@ arrays, so every fault charges the identical virtual time the tree search
 would have cost while the dispatch itself is O(1).
 """
 
-import os
-
 import numpy as np
 
 from repro.util.errors import AllocationError, GmacError
@@ -73,11 +71,6 @@ class Manager:
         #: Bytes moved device-to-device over peer DMA (region migrations).
         self.peer_bytes = 0
         self.fault_count = 0
-        #: Fault-storm batching: one physical SIGSEGV delivery may repair a
-        #: contiguous same-state run of blocks, replaying the per-block
-        #: virtual-time charges the individual deliveries would have made
-        #: (``REPRO_FAULT_STORMS=0`` restores per-block dispatch).
-        self._storms = os.environ.get("REPRO_FAULT_STORMS", "1") != "0"
         self.process.signals.register(self._on_segv)
 
     # -- shared address space (Section 4.2) -------------------------------------
@@ -629,19 +622,10 @@ class Manager:
         O(log n) balanced-tree search cost from the sampled cost oracle,
         then lets the protocol apply the Figure 6 state transition.
         Returns False for addresses outside any shared region so unrelated
-        faults still crash the application.
-
-        When the interrupted access reaches past the faulting block
-        (``info.span``) and the following blocks share its state, the
-        protocol may absorb the whole run in this one delivery (a fault
-        storm): the remaining blocks' faults are *replayed* after the
-        first one — each paying its own delivery overhead, tree-search
-        cost, fault count and Figure 6 transition in exactly the order
-        the individual deliveries would have — so every virtual-time
-        figure is unchanged while the host-side fault loop collapses to
-        one delivery per run.
+        faults still crash the application.  One delivery repairs one
+        block: an access that reaches past it faults again at the next
+        block's start.
         """
-        extent = 1
         with self.accounting.measure(Category.SIGNAL, label="segv"):
             address = info.address
             found = self._regions.find(address)
@@ -670,65 +654,18 @@ class Manager:
             self.fault_count += 1
             self.accounting.count_fault()
             monitor = self.monitor
-            if (monitor is None and self._storms
-                    and address + info.span > table.end_of(index)):
-                last_wanted = min(
-                    table.index_of(address + info.span - 1),
-                    table.n_blocks - 1,
-                )
-                run = table.run_length(
-                    index, last_wanted, table.states[index]
-                )
-                extent = self.protocol.storm_extent(
-                    region.blocks[index], info.access, run
-                )
             if monitor is None:
                 self.protocol.on_fault(region.blocks[index], info.access)
             else:
                 # The fault itself was already judged by the race monitor's
                 # own signal handler (it runs first); the coherence work it
-                # triggers is GMAC-internal data movement.  Storms stay off
-                # while it is armed — it observes per-delivery.
+                # triggers is GMAC-internal data movement.
                 monitor.enter_internal()
                 try:
                     self.protocol.on_fault(region.blocks[index], info.access)
                 finally:
                     monitor.exit_internal()
-        if extent > 1:
-            self._replay_storm(region, index + 1, index + extent - 1,
-                               info.access)
         return True
-
-    def _replay_storm(self, region, first, last, access):
-        """Charge and transition blocks [first, last] as-if faulted.
-
-        Each block replays the full per-delivery sequence — the kernel
-        delivery overhead, then its own SIGNAL measure frame charging the
-        tree-search cost (the resumed access faults exactly at the block
-        start, so the ``eq_steps`` column applies) and running the Figure 6
-        transition.  The frames are opened *after* the triggering fault's
-        frame closed: nesting them inside it would change the outer frame's
-        self-time arithmetic and drift the breakdown figures.
-        """
-        signals = self.process.signals
-        accounting = self.accounting
-        costs = self.costs
-        _, eq_steps, _ = self._fault_steps_for(region)
-        blocks = region.blocks
-        for index in range(first, last + 1):
-            signals.delivered += 1
-            self.clock.advance(signals.overhead_s)
-            accounting.charge(
-                Category.SIGNAL, signals.overhead_s, label="signal-delivery"
-            )
-            with accounting.measure(Category.SIGNAL, label="segv"):
-                self.clock.advance(
-                    costs.signal_base_s
-                    + int(eq_steps[index]) * costs.signal_per_step_s
-                )
-                self.fault_count += 1
-                accounting.count_fault()
-                self.protocol.on_fault(blocks[index], access)
 
     # -- call/return boundaries (the consistency model, Section 3.3) ---------------------
 

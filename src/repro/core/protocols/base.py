@@ -64,19 +64,6 @@ class Protocol(abc.ABC):
     #: refetching, so batch-update opts out.
     supports_device_bulk = True
 
-    def storm_extent(self, block, access, max_blocks):
-        """How many same-state blocks one fault delivery may repair.
-
-        When a bulk access faults, the manager knows how far the access
-        still reaches (``SegvInfo.span``) and how many consecutive blocks
-        share the faulting block's state (``max_blocks``).  A protocol
-        that can absorb the whole run in one delivery returns a count
-        greater than one; the default keeps the strict one-fault-per-block
-        behaviour.  Protocols with capacity constraints (rolling-update's
-        dirty FIFO) clamp the run so no mid-storm eviction can occur.
-        """
-        return 1
-
     def demote_clean(self, block):
         """A dirty block was flushed outside the call boundary: both copies
         now match, so it becomes read-only."""

@@ -97,20 +97,6 @@ class RollingUpdate(Protocol):
         else:
             raise AssertionError(f"fault on dirty (RW) block {block!r}")
 
-    def storm_extent(self, block, access, max_blocks):
-        """Absorb a contiguous run, but never past the dirty-FIFO headroom.
-
-        A write storm dirties one block per absorbed fault; capping the
-        run at the remaining rolling-size headroom guarantees no eager
-        eviction fires mid-storm, so eviction ordering (and the staged
-        bytes it flushes) is identical to per-block fault delivery.  Read
-        storms fetch without dirtying and are uncapped.
-        """
-        if access is AccessKind.WRITE:
-            headroom = max(self.rolling_size, 1) - len(self._dirty)
-            return max(1, min(max_blocks, headroom))
-        return max_blocks
-
     def _mark_dirty(self, block):
         self.manager.set_block(block, BlockState.DIRTY, Prot.RW)
         block.region.table.dirty_bits[block.index] = True

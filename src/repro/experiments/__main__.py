@@ -87,18 +87,10 @@ def main(argv=None):
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for the simulation sweep (default: serial)",
-    )
-    parser.add_argument(
-        "--pool",
-        choices=("persistent", "fork", "serial"),
-        default="persistent",
         help=(
-            "sweep engine: 'persistent' (worker pool forked once, "
-            "shared-memory result plane, cost-aware dispatch), 'fork' "
-            "(legacy one-shot multiprocessing.Pool baseline), or 'serial' "
-            "(inline).  Engine configuration only — results and cache "
-            "entries are byte-identical across all three"
+            "worker processes for the simulation sweep (default: serial); "
+            "N > 1 runs the persistent worker pool, whose results and "
+            "cache entries are byte-identical to a serial sweep's"
         ),
     )
     parser.add_argument(
@@ -117,18 +109,6 @@ def main(argv=None):
         ),
     )
     parser.add_argument(
-        "--eager-transfers",
-        action="store_true",
-        help=(
-            "disable the transfer ledger: every host<->device copy moves "
-            "bytes eagerly at transfer time (the pre-ledger engine; "
-            "DESIGN.md §14).  Engine configuration only — never part of a "
-            "cache key; the CI byte-identity gate diffs this mode against "
-            "the default lazy engine.  Same switch as "
-            "REPRO_EAGER_TRANSFERS=1, which forked workers inherit"
-        ),
-    )
-    parser.add_argument(
         "--sanitize",
         action="store_true",
         help=(
@@ -144,18 +124,6 @@ def main(argv=None):
         import os
 
         os.environ["REPRO_SCALE"] = args.scale
-    from repro.util.hostalloc import retain_arena
-
-    retain_arena()
-    if args.eager_transfers:
-        # Environment + module default: workers inherit the env, and Gpus
-        # constructed in-process see the flipped default immediately.
-        import os
-
-        import repro.hw.gpu as gpu_module
-
-        os.environ["REPRO_EAGER_TRANSFERS"] = "1"
-        gpu_module.DEFAULT_DEFER_TRANSFERS = False
     if args.sanitize:
         # Checked results must come from checked runs, never from a cache
         # populated by unchecked ones; workers inherit the env switch.
@@ -164,7 +132,7 @@ def main(argv=None):
         analysis.enable()
         args.no_cache = True
     executor = ExperimentExecutor(
-        jobs=args.jobs, use_cache=not args.no_cache, pool=args.pool,
+        jobs=args.jobs, use_cache=not args.no_cache,
     )
     try:
         if args.experiment == "report":

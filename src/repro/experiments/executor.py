@@ -7,23 +7,19 @@ independent :class:`~repro.experiments.spec.RunSpec` values (its
 1. **expands** the requested experiments into one deduplicated, ordered
    spec list (figures sharing a configuration share the run);
 2. **primes** the caches — warm specs short-circuit in the parent without
-   touching a worker, and the rest execute on the configured pool:
-
-   * ``persistent`` (default) — the worker-pool engine in
-     :mod:`repro.experiments.pool`: workers forked once per executor
-     lifetime after the parent pre-warm, specs dispatched one at a time
-     longest-expected-first (recorded timings from the result cache's
-     metadata, falling back to the spec-declared :meth:`RunSpec.cost_hint`),
-     outcomes returned through a shared-memory result plane, crashed
-     workers respawned with their in-flight spec requeued exactly once;
-   * ``fork`` — the legacy one-shot ``multiprocessing.Pool.map`` (kept as
-     a baseline; degrades to serial where fork is unavailable);
-   * ``serial`` — inline execution;
+   touching a worker, and the rest execute inline (``jobs=1``) or on the
+   worker-pool engine in :mod:`repro.experiments.pool` (``jobs > 1``):
+   workers forked once per executor lifetime after the parent pre-warm,
+   specs dispatched one at a time longest-expected-first (recorded
+   timings from the result cache's metadata, falling back to the
+   spec-declared :meth:`RunSpec.cost_hint`), outcomes returned through a
+   shared-memory result plane, crashed workers respawned with their
+   in-flight spec requeued exactly once;
 
 3. **merges deterministically** — outcomes commit to the caches as they
-   land and the merge restores spec order at the end, so any pool shape
+   land and the merge restores spec order at the end, so a pooled sweep
    leaves the caches (and therefore every rendered table) byte-identical
-   to a serial sweep.  The pool shape is *engine* configuration: it never
+   to a serial one.  The job count is *engine* configuration: it never
    joins a :class:`RunSpec` or its cache key.  A spec whose recovery
    gives up (:class:`~repro.util.errors.RecoveryExhausted`) does not stop
    the sweep: it stays out of the caches and counts under ``gave_up``;
@@ -35,15 +31,11 @@ call :func:`repro.experiments.common.run_spec`, which finds every outcome
 already in memory.
 """
 
-import multiprocessing
 import time
 
 from repro.experiments import common
 from repro.experiments.registry import REGISTRY, run_experiment
 from repro.sim.tracing import HostCounters
-
-#: The executor's pool shapes (the CLI's ``--pool`` choices).
-POOL_KINDS = ("persistent", "fork", "serial")
 
 
 def expand(experiment_ids, quick=False, devices=None):
@@ -78,14 +70,8 @@ def expand(experiment_ids, quick=False, devices=None):
 class ExperimentExecutor:
     """Runs experiment sweeps over a worker pool with shared caches."""
 
-    def __init__(self, jobs=1, use_cache=True, cache_dir=None,
-                 pool="persistent"):
-        if pool not in POOL_KINDS:
-            raise ValueError(
-                f"unknown pool kind {pool!r}; pick from {POOL_KINDS}"
-            )
+    def __init__(self, jobs=1, use_cache=True, cache_dir=None):
         self.jobs = max(1, int(jobs))
-        self.pool_kind = pool
         if not use_cache:
             self.cache = None
         elif cache_dir is not None:
@@ -132,29 +118,19 @@ class ExperimentExecutor:
         Call inside :meth:`cache_context` (the run/run_many entry points
         do).  Outcomes land streaming but the merge restores spec order,
         so the resulting cache state is independent of worker scheduling
-        and of the pool shape.
+        and of the job count.
         """
-        from repro.util.hostalloc import retain_arena
-
-        retain_arena()
         missing = [spec for spec in specs if common.peek(spec) is None]
         # Cache-aware dispatch: warm specs never reach a worker.
         self.counters.increment("warm_hits", len(specs) - len(missing))
         if missing:
-            parallel = (
-                self.jobs > 1 and len(missing) > 1
-                and self.pool_kind != "serial"
-            )
-            if parallel:
+            if self.jobs > 1 and len(missing) > 1:
                 from repro.experiments import pool as pool_engine
 
                 pool_engine.rebuild_memoized_inputs(
                     pool_engine.distinct_configs(missing)
                 )
-                if self.pool_kind == "fork":
-                    self._legacy_pool_prime(missing)
-                else:
-                    self._persistent_prime(missing)
+                self._persistent_prime(missing)
             else:
                 self._serial_prime(missing)
         self.stats = {
@@ -175,23 +151,6 @@ class ExperimentExecutor:
             timings[spec] = time.perf_counter() - started  # sanitizer: allow[R003]
             common.commit(spec, result)
         self._record_timings(timings)
-
-    def _legacy_pool_prime(self, missing):
-        """The pre-engine baseline: one fork pool per sweep, pickle pipes."""
-        if "fork" not in multiprocessing.get_all_start_methods():
-            # A spawn-only platform would lose the parent pre-warm in every
-            # pool child and recompute inputs per chunk; run inline instead
-            # of paying that silently (the persistent engine rebuilds
-            # per-worker and is the right shape there).
-            self.counters.increment("degraded_serial")
-            self._serial_prime(missing)
-            return
-        context = multiprocessing.get_context("fork")
-        processes = min(self.jobs, len(missing))
-        with context.Pool(processes=processes) as worker_pool:
-            results = worker_pool.map(common.attempt, missing)
-        for spec, result in zip(missing, results):
-            common.commit(spec, result)
 
     def _persistent_prime(self, missing):
         """Dispatch ``missing`` on the persistent engine, streaming merge."""

@@ -1,13 +1,12 @@
 """Persistent worker pool with a shared-memory result plane.
 
-The legacy fan-out path (``multiprocessing.Pool.map``) pays a fresh fork
-per sweep and pickles every :class:`~repro.experiments.spec.SpecOutcome`
-back through a pipe.  This engine replaces both costs:
+A one-shot ``multiprocessing.Pool.map`` would pay a fresh fork per sweep
+and pickle every :class:`~repro.experiments.spec.SpecOutcome` back
+through a pipe.  This engine avoids both costs:
 
 * **workers fork once per executor lifetime** — after the parent has
-  pre-warmed the memoized workload inputs and the retained malloc arena,
-  so every worker inherits warm pages as copy-on-write and never
-  regenerates an input array;
+  pre-warmed the memoized workload inputs, so every worker inherits them
+  as copy-on-write pages and never regenerates an input array;
 * **outcomes return through shared memory** — each worker owns a
   ``multiprocessing.shared_memory`` slab; it pickles the outcome straight
   into the slab through the :mod:`repro.util.buffers` view machinery and
@@ -68,12 +67,6 @@ _SUPERVISE_INTERVAL_S = 0.05
 
 class WorkerCrash(RuntimeError):
     """A pool worker died twice on the same spec (requeue budget spent)."""
-
-
-def slab_bytes():
-    """Result-plane slab size (``REPRO_POOL_SLAB_BYTES`` overrides)."""
-    override = os.environ.get("REPRO_POOL_SLAB_BYTES")
-    return int(override) if override else DEFAULT_SLAB_BYTES
 
 
 def preferred_start_method():
@@ -138,7 +131,6 @@ def _worker_main(worker_id, token, tasks, results, slab_name, slab_size,
     to commit.  ``token`` is this incarnation's spawn serial.
     Host-seconds ride along for the cost-aware scheduler's timing records.
     """
-    from repro.util.hostalloc import retain_arena
     from repro.analysis.report import REPORT_TOKEN_ENV
     from repro.experiments.common import attempt
 
@@ -147,7 +139,6 @@ def _worker_main(worker_id, token, tasks, results, slab_name, slab_size,
     # processes), so pid-named files could silently clobber a crashed
     # predecessor's report; ``w<id>-<spawn-serial>`` never repeats.
     os.environ[REPORT_TOKEN_ENV] = f"w{worker_id}-{token}"
-    retain_arena()
     rebuilt = 0
     if start_method != "fork":
         # Spawned children start with cold memo caches: rebuild each
@@ -243,7 +234,7 @@ class PersistentWorkerPool:
         self.jobs = max(1, int(jobs))
         self.start_method = start_method or preferred_start_method()
         self.context = multiprocessing.get_context(self.start_method)
-        self.slab_size = slab_size or slab_bytes()
+        self.slab_size = slab_size or DEFAULT_SLAB_BYTES
         self.counters = counters if counters is not None else HostCounters()
         self._workers = {}
         self._configs = ()

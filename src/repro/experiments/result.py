@@ -10,7 +10,7 @@ from repro.util.tables import render_table
 
 
 def environment_stamp():
-    """Provenance for benchmark artifacts: commit, devices, backend, scale.
+    """Provenance for benchmark artifacts: commit, devices and scale.
 
     Regression comparisons are only meaningful between runs of the same
     engine configuration; the stamp records the configuration a number was
@@ -27,14 +27,11 @@ def environment_stamp():
         ).stdout.strip()
     except (OSError, sp.CalledProcessError):
         commit = "unknown"
-    from repro.cuda.backend import active_backend
     from repro.experiments.common import active_scale
     from repro.hw.specs import GTX280, OPTERON_2222, PCIE_2_0_X16
-    from repro.util.hostalloc import arena_retained
 
     return {
         "commit": commit,
-        "backend": active_backend(),
         # No REPRO_SCALE override means the quick presets are in effect.
         "scale": active_scale() or "quick",
         "devices": {
@@ -42,7 +39,6 @@ def environment_stamp():
             "gpu": GTX280.name,
             "link": PCIE_2_0_X16.name,
         },
-        "arena_retained": arena_retained(),
     }
 
 

@@ -68,13 +68,17 @@ class RunSpec:
     devices: int = 1              # accelerator count (multi-device when > 1)
     link_specs: tuple = ()        # per-device link preset names, or ()
     placement: str = "-"          # placement policy name; "-" when devices=1
-    backend: str = "numpy"        # kernel-numerics backend (cuda/backend.py)
+    #: The kernel-numerics backend, now always numpy.  It stays a field
+    #: only because ``SpecOutcome.canonical_bytes()`` serializes it and
+    #: every pinned digest hashes that form; removing it waits for a
+    #: deliberate re-pin.  ``key()`` leaves it out.
+    backend: str = field(default="numpy", init=False)
 
     @classmethod
     def make(cls, workload, params=None, mode="gmac", protocol="rolling",
              layer="runtime", protocol_options=None, peer_dma=False,
              machine="reference", fault_plan=None, recovery=None,
-             devices=1, link_specs=None, placement=None, backend=None):
+             devices=1, link_specs=None, placement=None):
         """Build a normalized spec.
 
         Non-gmac modes ignore every GMAC knob, so those collapse to
@@ -120,12 +124,6 @@ class RunSpec:
                 )
         if fault_plan is None:
             recovery = None
-        if backend is None:
-            # The backend actually in effect for this process: a numba
-            # sweep must never share cache entries with a numpy one.
-            from repro.cuda.backend import active_backend
-
-            backend = active_backend()
         return cls(
             workload=workload,
             params=_as_items(params),
@@ -140,7 +138,6 @@ class RunSpec:
             devices=devices,
             link_specs=tuple(link_specs or ()),
             placement=placement,
-            backend=backend,
         )
 
     def key(self):
@@ -152,12 +149,7 @@ class RunSpec:
         key = self.__dict__.get("_key")
         if key is None:
             fields = asdict(self)
-            # The numpy backend is the baseline every existing key was
-            # minted under; only a non-default backend joins the key, so
-            # historical cache entries (and golden key fixtures) stay
-            # addressable.
-            if fields.get("backend") == "numpy":
-                del fields["backend"]
+            del fields["backend"]
             key = json.dumps(fields, sort_keys=True, default=str)
             self.__dict__["_key"] = key
         return key
@@ -260,10 +252,9 @@ class RunSpec:
         # backing buffers otherwise linger until a full garbage collection
         # — and every subsequent run re-pays minor page faults for its
         # whole working set.  Dropping the graph here and sweeping the
-        # young generations frees the buffers deterministically; with the
-        # retained malloc arena (:mod:`repro.util.hostalloc`) the next
-        # run then reuses warm pages.  A full ``gc.collect()`` would walk
-        # the memo caches too and costs more than it saves.
+        # young generations frees the buffers deterministically.  A full
+        # ``gc.collect()`` would walk the memo caches too and costs more
+        # than it saves.
         del result, workload, gmac, machine, plan
         gc.collect(1)
         return outcome

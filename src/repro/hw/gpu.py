@@ -27,20 +27,18 @@ clock), deferral cannot change any figure, trace, or chaos outcome; it
 only changes *when* the host-side numpy work happens.  See DESIGN.md §9.
 """
 
-import os
-
 from repro.sim.resource import Resource
 from repro.hw.memory import DeviceMemory
 
-#: Process-wide default for deferral; ``REPRO_EAGER_KERNELS=1`` restores
-#: the pre-deferral eager engine (used by the equivalence golden suite).
-DEFAULT_DEFER_NUMERICS = os.environ.get("REPRO_EAGER_KERNELS", "0") != "1"
+#: Default for deferred kernel numerics.  The eager engine (False) is a
+#: test reference only: the equivalence suites and the CI byte-identity
+#: gate set it to compare against.
+DEFAULT_DEFER_NUMERICS = True
 
-#: Process-wide default for the transfer ledger (DESIGN.md §14);
-#: ``REPRO_EAGER_TRANSFERS=1`` restores eager byte-copying transfers
-#: (used by the transfer-equivalence golden suite and the CI byte-identity
-#: gate).  Engine configuration only — never part of a result cache key.
-DEFAULT_DEFER_TRANSFERS = os.environ.get("REPRO_EAGER_TRANSFERS", "0") != "1"
+#: Default for the transfer ledger (DESIGN.md §14).  Eager byte-copying
+#: transfers (False) are a test reference, as above; engine configuration
+#: only, never part of a result cache key.
+DEFAULT_DEFER_TRANSFERS = True
 
 
 class Gpu:

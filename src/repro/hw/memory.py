@@ -823,11 +823,15 @@ def copy_d2h(memory, device, mapping, host, size, deferred=False):
         gpu = memory.gpu
         version = gpu.observe_version() if gpu is not None else 0
         dplane = _device_plane(allocation)
+        deps = dplane.dependents
+        # Only a device write prunes the list otherwise, and a read-only
+        # operand is never device-written.  Order stays: the newest entry
+        # is last (``recorded_version``).
+        deps[:] = [dep for dep in deps if not dep.dead]
         entry = _LedgerEntry(
-            lo, hi, allocation.buffer, offset, version, dplane.dependents,
-            gpu,
+            lo, hi, allocation.buffer, offset, version, deps, gpu,
         )
-        dplane.dependents.append(entry)
+        deps.append(entry)
         _insert_entry(plane, entry)
         _ensure_binding(allocation, dplane, plane, lo - offset)
         # The recorded bytes *are* the device bytes: host-logical == device

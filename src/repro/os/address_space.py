@@ -224,9 +224,9 @@ class AddressSpace:
         # Surgical soft-TLB invalidation: granting a bit can never shrink an
         # accessible run, so only a change that *revokes* a kind's required
         # bit inside that kind's cached run drops the entry.  Fault handling
-        # mprotects to grant access, so cached runs survive the fault storm
-        # of a kernel prologue; revocations (block demotion/invalidate)
-        # still invalidate exactly the runs they can affect.
+        # mprotects to grant access, so cached runs survive the per-block
+        # faults that follow a kernel; revocations (block demotion and
+        # invalidation) still invalidate exactly the runs they can affect.
         prot_int = int(prot)
         end = address + size
         for kind in tuple(self._tlb):

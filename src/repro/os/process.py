@@ -67,7 +67,7 @@ class Process:
                 offset += accessible
                 continue
             fault_address = cursor
-            deliver(SegvInfo(fault_address, kind, remaining))
+            deliver(SegvInfo(fault_address, kind))
             # The handler must have repaired the faulting page; a second
             # fault at the same byte means it did not.
             if writable_prefix(cursor, remaining, kind) == 0:

@@ -18,17 +18,10 @@ from repro.sim.tracing import Category
 
 @dataclass(frozen=True)
 class SegvInfo:
-    """What the kernel tells the handler: faulting address and access kind.
-
-    ``span`` is the byte count the interrupted access still wants past the
-    faulting address — a hint, not a promise.  A handler may use it to
-    repair more than the faulting page in one delivery (fault-storm
-    batching); handlers that ignore it behave exactly as before.
-    """
+    """What the kernel tells the handler: faulting address and access kind."""
 
     address: int
     access: object  # AccessKind
-    span: int = 1
 
 
 class SignalDispatcher:

@@ -108,15 +108,6 @@ class ValueMemo:
         self.max_entry_bytes = max_entry_bytes
         self._entries = {}
 
-    def clear(self):
-        """Forget every remembered evaluation.
-
-        Needed when the numerics provider changes mid-process — tests that
-        flip ``REPRO_KERNEL_BACKEND`` must not let one backend's outputs
-        satisfy the other's lookups.
-        """
-        self._entries.clear()
-
     def lookup(self, key, inputs):
         entries = self._entries.get(key)
         if not entries:

@@ -13,7 +13,6 @@ dumped once — is what Figures 7/8/10 depend on).
 import numpy as np
 
 from repro.analysis.contracts import access_modes
-from repro.cuda import backend
 from repro.cuda.kernels import Kernel
 from repro.workloads.base import Workload, ValueMemo, memoized_input
 
@@ -41,44 +40,9 @@ def _plane_coords(grid_n, spacing):
     return cached
 
 
-def _build_compiled_coulomb(numba):
-    """Compiled potential plane (REPRO_KERNEL_BACKEND=numba).
-
-    Same float32 operation chain and the same atom-major accumulation
-    order per grid point as the numpy path; reference and simulated
-    kernel both flow through :func:`coulomb_reference`, so within one
-    process both see the same arithmetic.
-    """
-    floor = np.float32(1e-3)
-
-    @numba.njit(cache=True)
-    def coulomb(atoms, xs, ys, out):
-        for row in range(out.shape[0]):
-            for col in range(out.shape[1]):
-                total = np.float32(0.0)
-                for a in range(atoms.shape[0]):
-                    dx = xs[row, col] - atoms[a, 0]
-                    dy = ys[row, col] - atoms[a, 1]
-                    z = atoms[a, 2]
-                    distance = np.sqrt(dx * dx + dy * dy + z * z)
-                    if distance < floor:
-                        distance = floor
-                    total += atoms[a, 3] / distance
-                out[row, col] = total
-
-    return coulomb
-
-
 def coulomb_reference(atoms, grid_n, spacing):
     """Potential of ``atoms`` (x, y, z, q rows) over the z=0 plane."""
     ys, xs = _plane_coords(grid_n, spacing)
-    compiled = backend.compiled("cp-coulomb", _build_compiled_coulomb)
-    if compiled is not None:
-        potential = np.empty((grid_n, grid_n), dtype=np.float32)
-        compiled(
-            np.ascontiguousarray(atoms, dtype=np.float32), xs, ys, potential
-        )
-        return potential
     potential = np.zeros((grid_n, grid_n), dtype=np.float32)
     for x, y, z, q in atoms:
         distance = np.sqrt((xs - x) ** 2 + (ys - y) ** 2 + z * z)

@@ -8,8 +8,6 @@ magnitude (Table 2).
 
 import numpy as np
 
-from repro.cuda import backend
-
 TWO_PI = np.float32(2.0 * np.pi)
 
 
@@ -38,33 +36,6 @@ def phase_matrix(k_coords, voxels, out=None):
     return np.multiply(product, TWO_PI, out=product)
 
 
-def _build_compiled_phase_terms(numba):
-    """Fused phase grid + cos/sin (REPRO_KERNEL_BACKEND=numba).
-
-    One float32 pass per (sample, voxel) cell with no materialized phase
-    matrix.  Reference and simulated kernel share :func:`_phase_tiles`,
-    so within one process both see the same trigonometry.
-    """
-    two_pi = np.float32(2.0 * np.pi)
-
-    @numba.njit(cache=True)
-    def phase_terms(k_coords, voxels, cos_out, sin_out):
-        for i in range(k_coords.shape[0]):
-            kx = k_coords[i, 0]
-            ky = k_coords[i, 1]
-            kz = k_coords[i, 2]
-            for j in range(voxels.shape[0]):
-                arg = two_pi * (
-                    kx * voxels[j, 0]
-                    + ky * voxels[j, 1]
-                    + kz * voxels[j, 2]
-                )
-                cos_out[i, j] = np.cos(arg)
-                sin_out[i, j] = np.sin(arg)
-
-    return phase_terms
-
-
 def _phase_tiles(k_coords, voxels):
     """Yield ``(lo, hi, cos(arg), sin(arg))`` one voxel tile at a time.
 
@@ -78,13 +49,10 @@ def _phase_tiles(k_coords, voxels):
     n_samples = k_coords.shape[0]
     n_voxels = voxels.shape[0]
     width = max(PHASE_TILE_MIN_VOXELS, PHASE_TILE_CELLS // max(n_samples, 1))
-    compiled = backend.compiled(
-        "mri-phase-terms", _build_compiled_phase_terms
-    )
     cells = n_samples * min(width, n_voxels)
     cos_buffer = np.empty(cells, dtype=np.float32)
     sin_buffer = np.empty(cells, dtype=np.float32)
-    arg_buffer = None if compiled is not None else np.empty_like(cos_buffer)
+    arg_buffer = np.empty_like(cos_buffer)
     for lo in range(0, n_voxels, width):
         hi = min(lo + width, n_voxels)
         # Flat buffers reshaped per tile keep a short last tile contiguous.
@@ -92,14 +60,11 @@ def _phase_tiles(k_coords, voxels):
         size = n_samples * (hi - lo)
         cos_arg = cos_buffer[:size].reshape(shape)
         sin_arg = sin_buffer[:size].reshape(shape)
-        if compiled is not None:
-            compiled(k_coords, voxels[lo:hi], cos_arg, sin_arg)
-        else:
-            arg = phase_matrix(
-                k_coords, voxels[lo:hi], out=arg_buffer[:size].reshape(shape)
-            )
-            np.cos(arg, out=cos_arg)
-            np.sin(arg, out=sin_arg)
+        arg = phase_matrix(
+            k_coords, voxels[lo:hi], out=arg_buffer[:size].reshape(shape)
+        )
+        np.cos(arg, out=cos_arg)
+        np.sin(arg, out=sin_arg)
         yield lo, hi, cos_arg, sin_arg
 
 

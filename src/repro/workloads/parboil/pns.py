@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.util.units import MB
 from repro.analysis.contracts import access_modes
-from repro.cuda import backend
 from repro.cuda.kernels import Kernel
 from repro.workloads.base import Workload, ValueMemo, memoized_input
 
@@ -179,37 +178,6 @@ def _pns_fn(gpu, places, transitions, stats, n_places, iteration):
 _SWEEP_MEMO = ValueMemo(max_entries=12)
 
 
-def _build_compiled_sweep(numba):
-    """Compiled K-round firing sweep (REPRO_KERNEL_BACKEND=numba).
-
-    Bit-identical to iterating :func:`fire_step` for any int32 marking:
-    the int64 products stay below 2^46 (|x| < 2^31 times a 15-bit
-    multiplier), far from overflow, and the low byte of the int64 sum is
-    the low byte of the int32 wrap-around sum, so the two masks collapse
-    to one ``& 255``.  The rotation reads the pre-round neighbour through
-    a carried temporary instead of a scratch buffer.
-    """
-    mult = int(FIRE_MULTIPLIER)
-    inc = int(FIRE_INCREMENT)
-    limit = int(TOKEN_LIMIT)
-
-    @numba.njit(cache=True)
-    def sweep(marking, seeds, out):
-        n = marking.shape[0]
-        for i in range(n):
-            out[i] = marking[i]
-        for k in range(seeds.shape[0]):
-            seed = inc + np.int64(seeds[k])
-            previous = np.int64(out[n - 1])
-            for i in range(n):
-                current = np.int64(out[i])
-                out[i] = np.int32((current * mult + previous + seed) & limit)
-                previous = current
-        return out
-
-    return sweep
-
-
 def _pns_batched(gpu, launches):
     """K deferred firing rounds in one sweep.
 
@@ -237,14 +205,9 @@ def _pns_batched(gpu, launches):
     inputs = (marking, seeds, iterations)
     cached = _SWEEP_MEMO.lookup(key, inputs)
     if cached is None:
-        compiled = backend.compiled("pns-sweep", _build_compiled_sweep)
-        if compiled is not None:
-            final = compiled(
-                marking, seeds, np.empty(n_places, dtype=np.int32)
-            )
-        else:
-            final = fire_rounds(marking, seeds)
-        cached = _SWEEP_MEMO.store(key, inputs, (final,))
+        cached = _SWEEP_MEMO.store(
+            key, inputs, (fire_rounds(marking, seeds),)
+        )
     marking[:] = cached[0]
     _write_stats(
         gpu.view(first["stats"], "i4", 16), cached[0],

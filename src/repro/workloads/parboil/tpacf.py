@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.util.units import MB
 from repro.analysis.contracts import access_modes
-from repro.cuda import backend
 from repro.cuda.kernels import Kernel
 from repro.workloads.base import Workload, ValueMemo, memoized_input
 
@@ -66,49 +65,9 @@ def init_pass(rows, pass_index):
         raise ValueError(f"no pass {pass_index}")
 
 
-def _build_compiled_histogram(numba):
-    """Compiled pairwise angular histogram (REPRO_KERNEL_BACKEND=numba).
-
-    The CUDA-shaped formulation: one pass over the upper triangle with no
-    materialized (n, n) matrices.  Both the simulated kernel and the
-    verification oracle call :func:`angular_histogram`, so within one
-    process (= one backend) they bin identically.
-    """
-    import math
-
-    @numba.njit(cache=True)
-    def pair_histogram(subset, out):
-        n = subset.shape[0]
-        scale = out.shape[0] / math.pi
-        top = out.shape[0] - 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                dot = (
-                    subset[i, 0] * subset[j, 0]
-                    + subset[i, 1] * subset[j, 1]
-                    + subset[i, 2] * subset[j, 2]
-                )
-                if dot > 1.0:
-                    dot = 1.0
-                elif dot < -1.0:
-                    dot = -1.0
-                index = int(math.acos(dot) * scale)
-                if index > top:
-                    index = top
-                elif index < 0:
-                    index = 0
-                out[index] += 1
-        return out
-
-    return pair_histogram
-
-
 def angular_histogram(rows):
     """Histogram of pairwise angular separations over the kernel subset."""
     subset = rows[::SUBSET_STRIDE, :3].astype(np.float64)
-    compiled = backend.compiled("tpacf-histogram", _build_compiled_histogram)
-    if compiled is not None:
-        return compiled(subset, np.zeros(BINS, dtype=np.int64))
     dots = np.clip(subset @ subset.T, -1.0, 1.0)
     upper = np.triu_indices(len(subset), k=1)
     angles = np.arccos(dots[upper])

@@ -1,5 +1,6 @@
 """Repo-specific lint: every rule fires, every suppression suppresses."""
 
+import ast
 import os
 import textwrap
 
@@ -132,10 +133,11 @@ class TestR005AdHocPools:
 
     def test_executor_engine_owns_pools(self, tmp_path):
         source = "pool = context.Pool(processes=2)\n"
-        assert check(
-            tmp_path, source, relative="experiments/executor.py"
-        ) == []
         assert check(tmp_path, source, relative="experiments/pool.py") == []
+        # The executor delegates to the pool engine; it builds none itself.
+        assert rules(check(
+            tmp_path, source, relative="experiments/executor.py"
+        )) == ["R005"]
 
     def test_reading_a_pool_attribute_is_fine(self, tmp_path):
         assert check(tmp_path, "size = engine.Pool\n") == []
@@ -206,3 +208,77 @@ class TestSuppression:
     def test_finding_renders_with_location(self):
         finding = Finding("core/api.py", 12, "R004", "bypass")
         assert str(finding) == "core/api.py:12: [R004] bypass"
+
+
+#: The only ``REPRO_*`` variables the program may read: workload scale,
+#: the result cache and the sanitizer.  No engine path has a switch.
+ALLOWED_ENVIRONMENT = {
+    "REPRO_SCALE", "REPRO_CACHE_DIR", "REPRO_RESULT_CACHE",
+    "REPRO_SANITIZE", "REPRO_SANITIZE_REPORT", "REPRO_SANITIZE_TOKEN",
+}
+
+
+def _is_environ(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "environ"
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def _environment_keys(tree):
+    """Key expressions of every environment read in ``tree``:
+    ``os.environ.get(k)``, ``os.getenv(k)``, ``os.environ[k]`` and
+    ``k in os.environ``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args:
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "get"
+                    and _is_environ(func.value)):
+                yield node.args[0]
+            elif (isinstance(func, ast.Attribute) and func.attr == "getenv"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "os"):
+                yield node.args[0]
+        elif (isinstance(node, ast.Subscript) and _is_environ(node.value)
+                and isinstance(node.ctx, ast.Load)):
+            yield node.slice
+        elif (isinstance(node, ast.Compare)
+                and any(_is_environ(op) for op in node.comparators)):
+            yield node.left
+
+
+class TestNoEngineKnobs:
+    def test_only_allowed_environment_variables_are_read(self):
+        package_root = os.path.dirname(repro.__file__)
+        trees = {}
+        for directory, _, names in os.walk(package_root):
+            for name in names:
+                if name.endswith(".py"):
+                    path = os.path.join(directory, name)
+                    with open(path, encoding="utf-8") as handle:
+                        trees[path] = ast.parse(handle.read())
+        # Module-level string constants, so ``os.environ.get(ENABLE_ENV)``
+        # and ``analysis.ENABLE_ENV`` resolve to the variable they name.
+        constants = {}
+        for tree in trees.values():
+            for node in tree.body:
+                if (isinstance(node, ast.Assign)
+                        and isinstance(node.value, ast.Constant)
+                        and isinstance(node.value.value, str)):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            constants[target.id] = node.value.value
+        read = set()
+        for path, tree in trees.items():
+            for key in _environment_keys(tree):
+                if isinstance(key, ast.Constant):
+                    read.add(key.value)
+                elif isinstance(key, ast.Name) and key.id in constants:
+                    read.add(constants[key.id])
+                elif (isinstance(key, ast.Attribute)
+                        and key.attr in constants):
+                    read.add(constants[key.attr])
+                else:
+                    raise AssertionError(
+                        f"{path}:{key.lineno}: unresolvable environment key"
+                    )
+        assert ALLOWED_ENVIRONMENT & read
+        assert sorted(read - ALLOWED_ENVIRONMENT) == []

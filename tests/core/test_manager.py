@@ -108,6 +108,29 @@ class TestFaultDispatch:
         ptr.write_bytes(b"x")
         assert app.machine.accounting.totals[Category.SIGNAL] > 0
 
+    @pytest.mark.parametrize("name", ["pns", "tpacf"])
+    def test_one_delivery_per_block_fault(self, name, monkeypatch):
+        """Each block fault is its own signal delivery (Section 4.3),
+        also for bulk accesses that span many blocks under rolling."""
+        from repro.experiments.common import make_workload
+        from repro.os.signals import SignalDispatcher
+
+        calls = []
+        real_deliver = SignalDispatcher.deliver
+
+        def deliver(self, info):
+            calls.append(info.address)
+            return real_deliver(self, info)
+
+        monkeypatch.setattr(SignalDispatcher, "deliver", deliver)
+        result = make_workload(name, quick=True).execute(
+            mode="gmac", protocol="rolling"
+        )
+        assert result.verified
+        faults = result.extra["gmac"].manager.fault_count
+        assert faults > 0
+        assert len(calls) == faults
+
 
 class TestDataMovement:
     def test_flush_then_fetch_roundtrip(self, gmac):

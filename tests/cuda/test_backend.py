@@ -1,180 +1,28 @@
-"""The kernel-numerics backend seam (``REPRO_KERNEL_BACKEND``).
+"""The tiled kernel engines against their oracles.
 
-Selection and graceful fallback are pure unit tests; the golden
-equivalence class proves the ISSUE acceptance criterion — SpecOutcomes
-are byte-identical whether the compiled backend is on or off.  The
-container has no numba, so the "on" runs install a stub module whose
-``njit`` is the identity decorator: the compiled code paths execute (as
-pure Python) without the optional dependency.
+pns's uint8 sweep and int32 oracle, and rpes's batched root engine and
+tiled oracle, compute byte-identical results to the literal per-round
+(per-root) rules for any input the host may write.  The spec key leaves
+out the fixed ``RunSpec.backend`` field.
 """
 
-import sys
-import types
 from contextlib import contextmanager
-from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.cuda import backend
 from repro.experiments.common import make_workload
 from repro.experiments.spec import RunSpec
 from repro.workloads.parboil import pns, rpes
 
 
-@pytest.fixture(autouse=True)
-def _fresh_backend():
-    backend.reset()
-    yield
-    backend.reset()
-
-
-def _stub_numba_module():
-    """A minimal numba lookalike: ``njit`` returns the function unchanged."""
-    module = types.ModuleType("numba")
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda fn: fn
-
-    module.njit = njit
-    return module
-
-
-def _activate_stub(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
-    monkeypatch.setitem(sys.modules, "numba", _stub_numba_module())
-
-
-def _clear_kernel_memos():
-    """Drop cross-run kernel memoization.
-
-    The ValueMemos are backend-agnostic byte caches; letting one
-    backend's stored outputs satisfy the other's lookups would short-
-    circuit exactly the code paths these tests compare.
-    """
-    from repro.workloads.parboil import cp, mrifhd, mriq, pns, tpacf
-
-    for memo in (
-        cp._POTENTIAL_MEMO, mrifhd._FHD_MEMO, mriq._Q_MEMO,
-        pns._SWEEP_MEMO, tpacf._HISTOGRAM_MEMO,
-    ):
-        memo.clear()
-
-
-class TestSelection:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        assert backend.requested_backend() == "numpy"
-        assert backend.active_backend() == "numpy"
-        assert backend.compiled("anything", lambda numba: 1) is None
-
-    def test_unknown_backend_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cython")
-        with pytest.raises(KeyError):
-            backend.requested_backend()
-
-    def test_numba_absent_falls_back_to_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
-        # A None sys.modules entry makes ``import numba`` raise
-        # ImportError even if the package were installed.
-        monkeypatch.setitem(sys.modules, "numba", None)
-        assert backend.requested_backend() == "numba"
-        assert backend.active_backend() == "numpy"
-        assert backend.compiled("anything", lambda numba: 1) is None
-
-    def test_stub_numba_activates_and_builds_once(self, monkeypatch):
-        _activate_stub(monkeypatch)
-        assert backend.active_backend() == "numba"
-        built = []
-
-        def builder(numba):
-            built.append(numba)
-            return lambda: "routine"
-
-        first = backend.compiled("routine", builder)
-        second = backend.compiled("routine", builder)
-        assert first is second
-        assert callable(first)
-        assert len(built) == 1
-
-    def test_failing_builder_demotes_that_routine_only(self, monkeypatch):
-        _activate_stub(monkeypatch)
-        attempts = []
-
-        def broken(numba):
-            attempts.append(1)
-            raise RuntimeError("no compiler today")
-
-        assert backend.compiled("broken", broken) is None
-        assert backend.compiled("broken", broken) is None
-        assert len(attempts) == 1  # recorded, not retried
-        assert backend.compiled("fine", lambda numba: min) is min
-
-
 class TestSpecKey:
-    def test_numpy_backend_stays_out_of_the_key(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+    def test_numpy_backend_stays_out_of_the_key(self):
         spec = RunSpec.make(workload="vecadd", params={"elements": 4096})
         assert spec.backend == "numpy"
         assert '"backend"' not in spec.key()
-
-    def test_numba_backend_joins_the_key(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        numpy_key = RunSpec.make(
-            workload="vecadd", params={"elements": 4096}
-        ).key()
-        _activate_stub(monkeypatch)
-        backend.reset()
-        spec = RunSpec.make(workload="vecadd", params={"elements": 4096})
-        assert spec.backend == "numba"
-        assert '"backend": "numba"' in spec.key()
-        assert spec.key() != numpy_key
-
-
-#: Every workload with a registered compiled routine, sized so the stub
-#: backend's pure-Python loops stay fast.
-COMPILED_WORKLOADS = [
-    ("cp", dict(grid_n=64, n_atoms=32)),
-    ("mri-q", dict(n_samples=16, n_voxels=8192)),
-    ("tpacf", dict(n_points=65536)),
-    ("pns", dict(n_places=16384, iterations=16, sample_interval=8)),
-]
-
-
-def _outcome_fields(outcome):
-    fields = asdict(outcome)
-    # The spec itself names the backend, which differs by construction;
-    # everything the experiment tables read must not.
-    del fields["spec"]
-    return fields
-
-
-class TestGoldenEquivalence:
-    @pytest.mark.parametrize("workload,params", COMPILED_WORKLOADS)
-    def test_outcomes_identical_across_backends(
-        self, workload, params, monkeypatch
-    ):
-        def run(expected_backend):
-            backend.reset()
-            _clear_kernel_memos()
-            spec = RunSpec.make(
-                workload=workload, params=params,
-                protocol="rolling", layer="driver",
-            )
-            assert spec.backend == expected_backend
-            return _outcome_fields(spec.execute())
-
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        plain = run("numpy")
-        _activate_stub(monkeypatch)
-        compiled = run("numba")
-        _clear_kernel_memos()
-        assert plain["verified"] is True
-        assert compiled == plain
 
 
 #: Any int32: a host may write any value into the pns marking.
@@ -200,15 +48,6 @@ def _widened(narrow, like):
     return marking
 
 
-@pytest.fixture
-def compiled_sweep(monkeypatch):
-    """The compiled pns sweep, built through the stub-numba seam."""
-    _activate_stub(monkeypatch)
-    sweep = backend.compiled("pns-sweep", pns._build_compiled_sweep)
-    assert sweep is not None
-    return sweep
-
-
 #: A kernel tile size: the default, or one small enough that a drawn
 #: array spans several tiles and a drawn K exceeds the tile.
 TILES = st.one_of(st.none(), st.integers(1, 8))
@@ -224,12 +63,10 @@ def _tiled(module, name, tile):
 
 
 class TestPnsEngines:
-    """The kernel's tiled uint8 engine, the compiled sweep and the int32
-    oracle compute the same markings, byte for byte."""
+    """The kernel's tiled uint8 engine and the int32 oracle compute the
+    same markings, byte for byte."""
 
-    # The fixture builds one pure routine; nothing in it varies per example.
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=150, deadline=None)
     @given(
         marking=arrays(np.int32, st.integers(1, 48), elements=INT32),
         seeds=arrays(np.int32, st.integers(1, 24), elements=INT32),
@@ -237,13 +74,11 @@ class TestPnsEngines:
         oracle_tile=TILES,
     )
     def test_all_engines_match_int32_rounds(
-            self, compiled_sweep, marking, seeds, tile, oracle_tile):
+            self, marking, seeds, tile, oracle_tile):
         expected = _int32_rounds(marking, seeds).tobytes()
         with _tiled(pns, "SWEEP_TILE", tile):
             narrow = pns.fire_rounds(marking, seeds)
         assert _widened(narrow, marking).tobytes() == expected
-        compiled = compiled_sweep(marking, seeds, np.empty_like(marking))
-        assert compiled.tobytes() == expected
         out = np.empty_like(marking)
         with _tiled(pns, "ORACLE_TILE", oracle_tile), \
                 np.errstate(over="ignore"):

@@ -27,15 +27,10 @@ class TestCli:
         for name in ("cp", "mri-fhd", "tpacf"):
             assert name in out
 
-    @pytest.mark.parametrize("pool", ["persistent", "fork", "serial"])
-    def test_pool_flag_accepted(self, pool, capsys):
-        assert main(["fig2", "--quick", "--pool", pool]) == 0
-        assert "fig2" in capsys.readouterr().out
-
-    def test_unknown_pool_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fig2", "--pool", "threads"])
-        assert "invalid choice" in capsys.readouterr().err
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_jobs_flag_accepted(self, jobs, capsys):
+        assert main(["fig11", "--quick", "--no-cache", "--jobs", jobs]) == 0
+        assert "fig11" in capsys.readouterr().out
 
     def test_unverified_outcome_fails_and_is_named(
             self, monkeypatch, capsys):
@@ -44,8 +39,7 @@ class TestCli:
 
         monkeypatch.setattr(common, "_memory", {})
         monkeypatch.setattr(VectorAdd, "_verify", lambda self, outputs: False)
-        assert main(["fig11", "--quick", "--no-cache", "--pool", "serial"]) \
-            == 1
+        assert main(["fig11", "--quick", "--no-cache"]) == 1
         err = capsys.readouterr().err
         assert "5 outcome(s) failed verification" in err
         assert err.count('"workload": "vecadd"') == 5

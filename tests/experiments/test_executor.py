@@ -3,15 +3,13 @@
 The engine's contract (ISSUE acceptance criteria):
 
 * a parallel sweep produces results byte-identical to a serial one —
-  ``Pool.map`` merges outcomes in submission order, so worker scheduling
-  never leaks into the tables;
+  the streaming merge restores spec order, so worker scheduling never
+  leaks into the tables;
 * a warm persistent cache satisfies a rerun with **zero** workload
   executions (asserted via the process-global execution counter);
 * expansion deduplicates specs shared between figures (fig7 and fig8
   project the same protocol runs).
 """
-
-import multiprocessing
 
 import pytest
 
@@ -91,15 +89,9 @@ EXHAUSTED = RunSpec.make(
     recovery=dict(degrade_min_attempts=8, degrade_threshold=0.15),
 )
 
-#: (pool shape, jobs) for every executor shape.
-SHAPES = [
-    ("serial", 1),
-    ("persistent", 2),
-    pytest.param("fork", 2, marks=pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="needs fork start method",
-    )),
-]
+#: Job counts: 1 runs inline, 2 runs the persistent pool.
+JOBS = pytest.mark.parametrize("jobs", [1, 2],
+                               ids=["serial-1", "persistent-2"])
 
 
 def _healthy(elements):
@@ -111,13 +103,12 @@ def _healthy(elements):
 class TestGaveUp:
     """One spec's RecoveryExhausted is that spec's result, not the sweep's."""
 
-    @pytest.mark.parametrize("pool, jobs", SHAPES)
-    def test_exhausted_spec_does_not_abort_the_sweep(
-            self, pool, jobs, tmp_path):
+    @JOBS
+    def test_exhausted_spec_does_not_abort_the_sweep(self, jobs, tmp_path):
         healthy = [_healthy(4096), _healthy(8192)]
         specs = [healthy[0], EXHAUSTED, healthy[1]]
         common.clear_cache()
-        executor = ExperimentExecutor(jobs=jobs, cache_dir=tmp_path, pool=pool)
+        executor = ExperimentExecutor(jobs=jobs, cache_dir=tmp_path)
         try:
             with executor.cache_context():
                 stats = executor.prime(specs)
@@ -135,16 +126,15 @@ class TestGaveUp:
             common.clear_cache()
         assert ResultCache(tmp_path).get(EXHAUSTED) is None
 
-    @pytest.mark.parametrize("pool, jobs", SHAPES[:2])
-    def test_other_errors_still_propagate(
-            self, pool, jobs, tmp_path, monkeypatch):
+    @JOBS
+    def test_other_errors_still_propagate(self, jobs, tmp_path, monkeypatch):
         def broken(**_params):
             raise ValueError("not a recovery failure")
 
         monkeypatch.setitem(WORKLOAD_FACTORIES, "broken", broken)
         specs = [_healthy(4096), RunSpec.make("broken", layer="driver")]
         common.clear_cache()
-        executor = ExperimentExecutor(jobs=jobs, cache_dir=tmp_path, pool=pool)
+        executor = ExperimentExecutor(jobs=jobs, cache_dir=tmp_path)
         try:
             with executor.cache_context():
                 with pytest.raises(ValueError, match="not a recovery"):

@@ -2,16 +2,15 @@
 
 The engine's contract (ISSUE acceptance criteria):
 
-* any pool shape — persistent, legacy fork, serial — leaves the caches
-  byte-identical (canonical form) to a serial sweep, for every worker
-  completion order including crash-and-requeue;
+* a pooled sweep leaves the caches byte-identical (canonical form) to a
+  serial one, for every worker completion order including
+  crash-and-requeue;
 * workers fork once per executor lifetime and a warm cache spawns none;
 * a crashed worker is respawned and its in-flight spec requeued exactly
   once — a spec that kills two fresh workers raises :class:`WorkerCrash`;
 * spawn-only platforms rebuild the memoized inputs per worker instead of
-  silently recomputing them per spec; a fork-only code path degrades to
-  serial where fork is unavailable;
-* the pool shape is engine configuration: it never joins a spec or its
+  silently recomputing them per spec;
+* the job count is engine configuration: it never joins a spec or its
   cache key.
 """
 
@@ -250,22 +249,6 @@ class TestSpawnRebuild:
         assert _canonical(pooled) == _canonical(serial)
         assert pool.counters.get("worker_rebuilds") == 2 * len(configs)
 
-    def test_fork_pool_degrades_to_serial_without_fork(
-            self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
-        common.clear_cache()
-        executor = ExperimentExecutor(jobs=2, cache_dir=tmp_path, pool="fork")
-        with executor.cache_context():
-            executor.prime(_specs(3))
-        executor.close()
-        common.clear_cache()
-        assert executor.counters.get("degraded_serial") == 1
-        assert executor.stats["executed"] == 3
-        cache = ResultCache(tmp_path)
-        assert all(cache.get(spec) is not None for spec in _specs(3))
-
     def test_rebuild_tolerates_broken_configs(self):
         built = rebuild_memoized_inputs(
             [("vecadd", (("elements", 512),)),
@@ -275,7 +258,7 @@ class TestSpawnRebuild:
 
 
 class TestPoolShapeCollapse:
-    """The pool shape is engine configuration, never part of a key."""
+    """The job count is engine configuration, never part of a key."""
 
     def test_pool_is_not_a_spec_field(self):
         assert "pool" not in RunSpec.__dataclass_fields__
@@ -284,14 +267,10 @@ class TestPoolShapeCollapse:
     def test_cache_entries_identical_across_pool_shapes(self, tmp_path):
         specs = _specs(3)
         entries = {}
-        for kind, jobs in (("serial", 1), ("persistent", 2), ("fork", 2)):
-            if kind == "fork" and not HAVE_FORK:
-                continue
+        for kind, jobs in (("serial", 1), ("persistent", 2)):
             common.clear_cache()
             cache_dir = tmp_path / kind
-            executor = ExperimentExecutor(
-                jobs=jobs, cache_dir=cache_dir, pool=kind
-            )
+            executor = ExperimentExecutor(jobs=jobs, cache_dir=cache_dir)
             with executor.cache_context():
                 executor.prime(specs)
             executor.close()

@@ -361,6 +361,29 @@ class TestReadOnlyOperands:
             (lo, lo + transitions.mapped_size)
         ]
 
+    def test_dead_entries_leave_the_dependents_list(self):
+        """Batch-update fetches the read-only ``transitions`` after every
+        call; each fetch kills the previous entry, and the dead entries
+        must not pile up on an allocation no device write ever prunes.
+        Only the newest entry may have died since its record (a host
+        read materializes it)."""
+        from repro.experiments.common import make_workload
+
+        result = make_workload("pns", quick=True).execute(
+            mode="gmac", protocol="batch"
+        )
+        assert result.verified
+        gmac = result.extra["gmac"]
+        memory = gmac.machine.gpu.memory
+        planes = {
+            region.name: memory._find(region.device_start).plane
+            for region in gmac.manager.regions()
+        }
+        for plane in planes.values():
+            assert all(not entry.dead for entry in plane.dependents[:-1])
+        (entry,) = planes["transitions"].dependents
+        assert not entry.dead
+
 
 class TestVersionedRecords:
     def test_record_names_a_version_and_replays_nothing(self):
