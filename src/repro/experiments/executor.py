@@ -10,11 +10,12 @@ independent :class:`~repro.experiments.spec.RunSpec` values (its
    touching a worker, and the rest execute inline (``jobs=1``) or on the
    worker-pool engine in :mod:`repro.experiments.pool` (``jobs > 1``):
    workers forked once per executor lifetime after the parent pre-warm,
-   specs dispatched one at a time longest-expected-first (recorded
-   timings from the result cache's metadata, falling back to the
-   spec-declared :meth:`RunSpec.cost_hint`), outcomes returned through a
-   shared-memory result plane, crashed workers respawned with their
-   in-flight spec requeued exactly once;
+   each running one BLAS thread and holding two specs dispatched
+   longest-expected-first (recorded timings from the result cache's
+   metadata, falling back to the spec-declared
+   :meth:`RunSpec.cost_hint`), outcomes returned on each worker's own
+   pipe, crashed workers respawned with the spec they were executing
+   requeued exactly once;
 
 3. **merges deterministically** — outcomes commit to the caches as they
    land and the merge restores spec order at the end, so a pooled sweep
@@ -125,11 +126,6 @@ class ExperimentExecutor:
         self.counters.increment("warm_hits", len(specs) - len(missing))
         if missing:
             if self.jobs > 1 and len(missing) > 1:
-                from repro.experiments import pool as pool_engine
-
-                pool_engine.rebuild_memoized_inputs(
-                    pool_engine.distinct_configs(missing)
-                )
                 self._persistent_prime(missing)
             else:
                 self._serial_prime(missing)
@@ -173,16 +169,20 @@ class ExperimentExecutor:
     def _ensure_pool(self, missing):
         """The live persistent pool (workers fork once per executor)."""
         from repro.experiments.pool import (
-            PersistentWorkerPool, distinct_configs,
+            PersistentWorkerPool, distinct_configs, rebuild_memoized_inputs,
         )
 
         if self._pool is not None and not self._pool.started:
             self._pool = None
         if self._pool is None:
+            # Pre-warm only right before forking: live workers never see
+            # what the parent builds after they start.
+            configs = distinct_configs(missing)
+            rebuild_memoized_inputs(configs)
             self._pool = PersistentWorkerPool(
                 jobs=self.jobs, counters=self.counters,
             )
-            self._pool.start(configs=distinct_configs(missing))
+            self._pool.start(configs=configs)
         return self._pool
 
     # -- cost-aware scheduling ------------------------------------------------

@@ -1,36 +1,29 @@
-"""Persistent worker pool with a shared-memory result plane.
+"""Persistent worker pool: fork once, two specs in flight per worker.
 
 A one-shot ``multiprocessing.Pool.map`` would pay a fresh fork per sweep
-and pickle every :class:`~repro.experiments.spec.SpecOutcome` back
-through a pipe.  This engine avoids both costs:
+and wait forever once a worker dies.  This engine:
 
-* **workers fork once per executor lifetime** — after the parent has
+* **forks workers once per executor lifetime** — after the parent has
   pre-warmed the memoized workload inputs, so every worker inherits them
   as copy-on-write pages and never regenerates an input array;
-* **outcomes return through shared memory** — each worker owns a
-  ``multiprocessing.shared_memory`` slab; it pickles the outcome straight
-  into the slab through the :mod:`repro.util.buffers` view machinery and
-  sends only a small control message (sequence number, payload size, host
-  seconds) on its result pipe.  The parent unpickles directly from a
-  slab view; outcome bytes never cross a pipe.  An outcome larger than
-  the slab falls back to riding the result pipe (counted, never wrong);
-* **each worker owns its result pipe** — written synchronously from the
-  worker's main thread, with no lock shared between processes.  A worker
-  that dies mid-message tears only its own pipe, which is retired with
-  it; its exit reads as end-of-file, so the parent notices at once.  (A
-  shared ``multiprocessing.Queue`` could deadlock the pool: a worker
-  exiting while its feeder thread held the queue's cross-process write
-  lock blocked every later ``put``.)
-* **dispatch is parent-driven, one spec at a time** — the executor hands
-  this engine a cost-ordered ``(seq, spec)`` list (longest expected
-  first); each worker holds exactly one in-flight spec, and the next
-  assignment doubles as the acknowledgement that its slab was consumed,
-  so no extra synchronization guards the plane;
+* **runs one BLAS thread per worker** — the workers fill the CPUs, so
+  each caps OpenBLAS at ``max(1, CPUs // jobs)`` threads before its first
+  BLAS call (:func:`cap_blas_threads`);
+* **keeps two specs in flight per worker** — the executor hands this
+  engine a cost-ordered ``(seq, spec)`` list (longest expected first); a
+  worker starts its next spec while the parent reads its last result;
+* **returns each outcome's pickle on the worker's own result pipe** —
+  written synchronously from the worker's main thread, with no lock
+  shared between processes.  A worker that dies mid-message tears only
+  its own pipe, which is retired with it; its exit reads as end-of-file,
+  so the parent notices at once.  (A shared ``multiprocessing.Queue``
+  could deadlock the pool: a worker exiting while its feeder thread held
+  the queue's cross-process write lock blocked every later ``put``.)
 * **a supervisor respawns crashed workers** — reusing the watchdog/
   :class:`~repro.core.recovery.RecoveryPolicy` idiom of bounded retries:
-  a worker that dies gets a fresh process+slab and its in-flight spec is
-  requeued at the front *exactly once*; a second crash on the same spec
-  raises :class:`WorkerCrash` instead of looping.
+  a dead worker's in-flight specs are requeued at the front in order and
+  the one it was executing spends its *single* requeue; a second crash
+  on the same spec raises :class:`WorkerCrash` instead of looping.
 
 Results stream back in completion order; :class:`StreamingMerge` commits
 each one as it lands (the caches are keyed by spec, so commit order never
@@ -49,15 +42,18 @@ import os
 import pickle
 import time
 
-from multiprocessing import shared_memory
 from multiprocessing.connection import wait
 
 from repro.sim.tracing import HostCounters
-from repro.util.buffers import as_byte_view, copy_into
 
-#: Per-worker result-plane slab size; outcomes are a few KB, so the
-#: default leaves ~1000x headroom before the inline-fallback path.
-DEFAULT_SLAB_BYTES = 4 << 20
+#: Specs each worker holds at once: the one it executes and the next.
+INFLIGHT_PER_WORKER = 2
+
+#: OpenBLAS thread-count setters, tried in order: numpy's bundled
+#: ``scipy_openblas`` build, then plain 64- and 32-bit-integer builds.
+BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                       "openblas_set_num_threads64_",
+                       "openblas_set_num_threads")
 
 #: How long the supervisor waits on the result pipes before checking
 #: worker liveness (host seconds; a crashed worker's pipe reads as
@@ -73,6 +69,42 @@ def preferred_start_method():
     """``fork`` where available (inherits warm pages), else the default."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else methods[0]
+
+
+def loaded_openblas():
+    """``(ctypes library, setter name)`` for the OpenBLAS numpy mapped
+    (found in ``/proc/self/maps``), or None."""
+    import ctypes
+
+    import numpy  # noqa: F401  (maps the OpenBLAS it links)
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = [line.split()[-1] for line in maps if "openblas" in line]
+    except OSError:
+        return None
+    for path in dict.fromkeys(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in BLAS_THREAD_SETTERS:
+            if hasattr(library, name):
+                return library, name
+    return None
+
+
+def cap_blas_threads(jobs):
+    """Cap this process's OpenBLAS at ``max(1, affinity CPUs // jobs)``
+    threads; without a known OpenBLAS setter, change nothing."""
+    import ctypes
+
+    found = loaded_openblas()
+    if found is not None:
+        library, name = found
+        setter = getattr(library, name)
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(max(1, len(os.sched_getaffinity(0)) // jobs))
 
 
 def distinct_configs(specs):
@@ -117,15 +149,14 @@ def _portable_error(error):
         return RuntimeError(f"{type(error).__name__}: {error}")
 
 
-def _worker_main(worker_id, token, tasks, results, slab_name, slab_size,
-                 start_method, configs):
-    """Worker loop: attach the slab, (re)warm, execute specs until None.
+def _worker_main(worker_id, token, tasks, results, jobs, start_method,
+                 configs):
+    """Worker loop: cap BLAS, (re)warm, execute specs until None.
 
-    Control messages on ``results`` (this incarnation's own pipe) are
-    small tuples ``(kind, ...)``: ``ready`` (startup, carries the
-    memo-rebuild count), ``done`` (payload in the slab), ``inline``
-    (payload rode the pipe: slab too small), ``error`` (spec raised).  A
-    spec whose recovery gave up is a payload, not an error:
+    Messages on ``results`` (this incarnation's own pipe) are tuples
+    ``(kind, ...)``: ``ready`` (startup, carries the memo-rebuild count),
+    ``done`` (carries the outcome's pickle) and ``error`` (spec raised).
+    A spec whose recovery gave up is an outcome, not an error:
     :func:`~repro.experiments.common.attempt` returns its
     :class:`~repro.util.errors.RecoveryExhausted` for the parent's merge
     to commit.  ``token`` is this incarnation's spawn serial.
@@ -139,12 +170,13 @@ def _worker_main(worker_id, token, tasks, results, slab_name, slab_size,
     # processes), so pid-named files could silently clobber a crashed
     # predecessor's report; ``w<id>-<spawn-serial>`` never repeats.
     os.environ[REPORT_TOKEN_ENV] = f"w{worker_id}-{token}"
+    # Before the first BLAS call, the spawn rebuild's included.
+    cap_blas_threads(jobs)
     rebuilt = 0
     if start_method != "fork":
         # Spawned children start with cold memo caches: rebuild each
         # distinct configuration once now, not once per spec later.
         rebuilt = rebuild_memoized_inputs(configs)
-    slab = shared_memory.SharedMemory(name=slab_name)
     try:
         results.send(("ready", rebuilt))
         while True:
@@ -160,13 +192,8 @@ def _worker_main(worker_id, token, tasks, results, slab_name, slab_size,
                 continue
             host_s = time.perf_counter() - started  # sanitizer: allow[R003]
             payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-            if len(payload) <= slab_size:
-                copy_into(slab.buf, payload)
-                results.send(("done", seq, len(payload), host_s))
-            else:
-                results.send(("inline", seq, payload, host_s))
+            results.send(("done", seq, payload, host_s))
     finally:
-        slab.close()
         results.close()
 
 
@@ -216,25 +243,24 @@ class StreamingMerge:
 class _Worker:
     """Parent-side record of one live worker."""
 
-    __slots__ = ("process", "tasks", "results", "slab", "inflight")
+    __slots__ = ("process", "tasks", "results", "inflight")
 
-    def __init__(self, process, tasks, results, slab):
+    def __init__(self, process, tasks, results):
         self.process = process
         self.tasks = tasks
         self.results = results
-        self.slab = slab
-        self.inflight = None  # (seq, spec) currently executing, or None
+        # (seq, spec) pairs sent and not yet reported, oldest first: the
+        # worker executes its queue in order, so the head is running.
+        self.inflight = collections.deque()
 
 
 class PersistentWorkerPool:
     """The parent-side engine: spawn once, dispatch, supervise, merge."""
 
-    def __init__(self, jobs, start_method=None, slab_size=None,
-                 counters=None):
+    def __init__(self, jobs, start_method=None, counters=None):
         self.jobs = max(1, int(jobs))
         self.start_method = start_method or preferred_start_method()
         self.context = multiprocessing.get_context(self.start_method)
-        self.slab_size = slab_size or DEFAULT_SLAB_BYTES
         self.counters = counters if counters is not None else HostCounters()
         self._workers = {}
         self._configs = ()
@@ -260,13 +286,11 @@ class PersistentWorkerPool:
     def _spawn(self, worker_id):
         tasks = self.context.SimpleQueue()
         results, results_end = self.context.Pipe(duplex=False)
-        slab = shared_memory.SharedMemory(create=True, size=self.slab_size)
         self._spawn_serial += 1
         process = self.context.Process(
             target=_worker_main,
             args=(worker_id, self._spawn_serial, tasks, results_end,
-                  slab.name, self.slab_size, self.start_method,
-                  self._configs),
+                  self.jobs, self.start_method, self._configs),
             name=f"repro-pool-{worker_id}",
             daemon=True,
         )
@@ -274,7 +298,7 @@ class PersistentWorkerPool:
         # Only the worker holds the write end, so its exit reads as EOF.
         results_end.close()
         self.counters.increment("workers_spawned")
-        self._workers[worker_id] = _Worker(process, tasks, results, slab)
+        self._workers[worker_id] = _Worker(process, tasks, results)
 
     def close(self):
         """Shut the pool down; safe to call repeatedly."""
@@ -303,15 +327,7 @@ class PersistentWorkerPool:
 
     @staticmethod
     def _retire(worker):
-        """Release one worker's parent-side resources (slab, pipes)."""
-        try:
-            worker.slab.close()
-        except (OSError, BufferError):
-            pass
-        try:
-            worker.slab.unlink()
-        except (OSError, FileNotFoundError):
-            pass
+        """Release one worker's parent-side pipes."""
         try:
             worker.tasks.close()
         except (OSError, ValueError):
@@ -340,14 +356,14 @@ class PersistentWorkerPool:
         if not self.started:
             raise RuntimeError("pool not started")
         pending = collections.deque(pairs)
-        requeues = {}
+        requeued = set()
         landed = 0
         total = len(pairs)
         dispatch_started = time.perf_counter()  # sanitizer: allow[R003]
         busy_s = 0.0
         self._fill_idle(pending)
         while landed < total:
-            worker, message = self._next_message(pending, requeues)
+            worker, message = self._next_message(pending, requeued)
             if message is None:
                 continue
             self.counters.increment("control_messages")
@@ -360,25 +376,12 @@ class PersistentWorkerPool:
                 self.close()
                 raise error
             _, seq, payload, host_s = message
-            if kind == "done":
-                # Zero-copy recall: unpickle straight off the slab view.
-                # The slice is released immediately — a lingering export
-                # would block closing the slab when a worker is retired.
-                view = as_byte_view(worker.slab.buf)[:payload]
-                try:
-                    outcome = pickle.loads(view)
-                finally:
-                    view.release()
-                self.counters.increment("plane_payloads")
-                self.counters.increment("plane_bytes", payload)
-            else:  # "inline": the outcome outgrew the slab
-                outcome = pickle.loads(payload)
-                self.counters.increment("plane_inline_fallbacks")
-                self.counters.increment("plane_bytes", len(payload))
+            # Its oldest spec reported: refill the slot before unpickling.
+            worker.inflight.popleft()
+            self._assign_next(worker, pending)
+            outcome = pickle.loads(payload)
+            self.counters.increment("plane_bytes", len(payload))
             busy_s += host_s
-            if worker.inflight is not None and worker.inflight[0] == seq:
-                worker.inflight = None
-                self._assign_next(worker, pending)
             if on_result(seq, outcome, host_s):
                 landed += 1
             else:
@@ -393,45 +396,49 @@ class PersistentWorkerPool:
         )
         return landed
 
-    def _next_message(self, pending, requeues):
+    def _next_message(self, pending, requeued):
         """The next ``(worker, message)``, or ``(None, None)``.
 
         A quiet interval runs the supervisor.  A pipe at end-of-file
         means its worker exited, perhaps mid-message: reap it, then let
-        the supervisor respawn it and requeue its in-flight spec.
+        the supervisor respawn it and requeue its in-flight specs.
         """
         workers = {worker.results: worker for worker in self._workers.values()}
         ready = wait(list(workers), timeout=_SUPERVISE_INTERVAL_S)
         if not ready:
-            self._supervise(pending, requeues)
+            self._supervise(pending, requeued)
             return None, None
         worker = workers[ready[0]]
         try:
             return worker, worker.results.recv()
         except (EOFError, OSError):
             worker.process.join()
-            self._supervise(pending, requeues)
+            self._supervise(pending, requeued)
             return None, None
 
     def _fill_idle(self, pending):
-        for worker in self._workers.values():
-            if worker.inflight is None:
-                self._assign_next(worker, pending)
+        """Top every worker up to :data:`INFLIGHT_PER_WORKER` specs, one
+        round at a time, so the longest specs start on different workers."""
+        for _ in range(INFLIGHT_PER_WORKER):
+            for worker in self._workers.values():
+                if len(worker.inflight) < INFLIGHT_PER_WORKER:
+                    self._assign_next(worker, pending)
 
     def _assign_next(self, worker, pending):
         if pending and worker.process.is_alive():
             pair = pending.popleft()
-            worker.inflight = pair
+            worker.inflight.append(pair)
             worker.tasks.put(pair)
             self.counters.increment("specs_dispatched")
 
-    def _supervise(self, pending, requeues):
-        """Respawn dead workers; requeue their in-flight spec exactly once.
+    def _supervise(self, pending, requeued):
+        """Respawn dead workers; requeue their in-flight specs in order.
 
         The recovery ladder mirrors :class:`~repro.core.recovery
         .RecoveryPolicy`'s bounded-retry idiom: one respawn-and-requeue
         per spec, then escalate — a spec that kills two fresh workers is
-        declared poisonous rather than retried forever.
+        declared poisonous rather than retried forever.  Only the spec
+        the worker was executing is charged, never one queued behind it.
         """
         for worker_id, worker in list(self._workers.items()):
             if worker.process.is_alive():
@@ -440,9 +447,9 @@ class PersistentWorkerPool:
             inflight = worker.inflight
             self._retire(worker)
             self.counters.increment("worker_respawns")
-            if inflight is not None:
-                seq, spec = inflight
-                if requeues.get(seq, 0) >= 1:
+            if inflight:
+                seq, spec = inflight[0]
+                if seq in requeued:
                     del self._workers[worker_id]
                     self.close()
                     raise WorkerCrash(
@@ -450,8 +457,8 @@ class PersistentWorkerPool:
                         f"spec {spec.workload!r} seq {seq}; not requeueing "
                         "again"
                     )
-                requeues[seq] = requeues.get(seq, 0) + 1
+                requeued.add(seq)
                 self.counters.increment("specs_requeued")
-                pending.appendleft((seq, spec))
+                pending.extendleft(reversed(inflight))
             self._spawn(worker_id)
-            self._assign_next(self._workers[worker_id], pending)
+            self._fill_idle(pending)

@@ -111,8 +111,8 @@ class HostCounters:
     """Named host-side event counters for engine diagnostics.
 
     The executor's worker-pool engine counts what the *host* machinery did
-    — specs dispatched, control messages exchanged, bytes through the
-    shared-memory result plane, crashed workers respawned — the same way
+    — specs dispatched, control messages exchanged, outcome bytes the
+    workers returned, crashed workers respawned — the same way
     :class:`TimeAccounting` keeps its host-side throughput counters: these
     values never feed virtual time and never become part of an experiment
     outcome, so a pooled sweep stays byte-identical to a serial one.  They

@@ -24,19 +24,6 @@ def as_byte_view(data):
     return view
 
 
-def copy_into(dst, data, offset=0):
-    """Copy ``data``'s bytes into ``dst`` at ``offset``, view to view.
-
-    Both sides are normalized through :func:`as_byte_view`, so the bytes
-    move in one slice assignment with no staging copy — this is how the
-    worker-pool result plane deposits pickled outcomes into its
-    shared-memory slab.  Returns the number of bytes written.
-    """
-    src = as_byte_view(data)
-    as_byte_view(dst)[offset:offset + len(src)] = src
-    return len(src)
-
-
 def as_byte_array(data):
     """A flat ``uint8`` numpy view of any buffer, without copying.
 

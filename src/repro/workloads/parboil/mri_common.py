@@ -12,9 +12,9 @@ TWO_PI = np.float32(2.0 * np.pi)
 
 
 #: Phase-grid cells per voxel tile (4 MiB per buffer).  Each tile costs
-#: a matmul and two or four matrix-vector products, which OpenBLAS runs
-#: on two threads; in a busy worker pool each call waits for its helper
-#: thread, so fewer, larger tiles run faster there.  Serially, 2^18- and
+#: a matmul and two or four matrix-vector products.  Fewer, larger tiles
+#: ran faster when pool workers ran OpenBLAS on two threads each; they now
+#: run one BLAS thread, and the size is kept.  Serially, 2^18- and
 #: 2^20-cell tiles take the same time.
 PHASE_TILE_CELLS = 1 << 20
 

@@ -1,19 +1,24 @@
-"""The persistent worker-pool engine and its shared-memory result plane.
+"""The persistent worker-pool engine.
 
-The engine's contract (ISSUE acceptance criteria):
+The engine's contract:
 
 * a pooled sweep leaves the caches byte-identical (canonical form) to a
   serial one, for every worker completion order including
   crash-and-requeue;
-* workers fork once per executor lifetime and a warm cache spawns none;
-* a crashed worker is respawned and its in-flight spec requeued exactly
-  once — a spec that kills two fresh workers raises :class:`WorkerCrash`;
+* workers fork once per executor lifetime, after the one parent
+  pre-warm, and a warm cache spawns none;
+* each worker runs ``max(1, CPUs // jobs)`` OpenBLAS threads;
+* a crashed worker is respawned and its in-flight specs requeued; the
+  spec it was executing spends its one requeue — a spec that kills two
+  fresh workers raises :class:`WorkerCrash` — and a spec queued behind
+  it is requeued free;
 * spawn-only platforms rebuild the memoized inputs per worker instead of
   silently recomputing them per spec;
 * the job count is engine configuration: it never joins a spec or its
   cache key.
 """
 
+import ctypes
 import multiprocessing
 import os
 import pickle
@@ -72,6 +77,19 @@ def _canonical(outcomes):
     return [outcome.canonical_bytes() for outcome in outcomes]
 
 
+def _claim(marker):
+    """Create ``marker``; True only for the one process that made it.
+
+    Exclusive creation, because two workers finishing at once could both
+    see it missing before either wrote it.
+    """
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return False
+    return True
+
+
 def _engine_run(pool, specs):
     """Run ``specs`` on a started engine; outcomes back in spec order."""
     merge = StreamingMerge(specs)
@@ -92,23 +110,45 @@ class TestEngine:
             pooled = _engine_run(pool, specs)
         assert pooled == serial
         assert _canonical(pooled) == _canonical(serial)
-        assert pool.counters.get("plane_payloads") == len(specs)
+        assert pool.counters.get("plane_bytes") > 0
         assert pool.counters.get("specs_completed") == len(specs)
 
     @fork_only
-    def test_oversize_outcome_rides_the_queue(self):
-        """A slab too small for any outcome falls back inline, never wrong."""
-        specs = _specs(3)
-        serial = [spec.execute() for spec in specs]
-        with PersistentWorkerPool(jobs=2, slab_size=32) as pool:
+    def test_workers_run_their_share_of_blas_threads(
+            self, tmp_path, monkeypatch):
+        found = pool_module.loaded_openblas()
+        if found is None:
+            pytest.skip("numpy loaded no OpenBLAS with a known setter")
+        library, setter = found
+        getter = getattr(library, setter.replace("_set_", "_get_"))
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        parent = os.getpid()
+        report = tmp_path / "threads"
+
+        def build(elements=512, **_ignored):
+            if os.getpid() != parent:
+                report.write_text(str(getter()))
+            return VectorAdd(elements=elements)
+
+        monkeypatch.setitem(WORKLOAD_FACTORIES, "blasprobe", build)
+        spec = RunSpec.make("blasprobe", params={"elements": 512},
+                            layer="driver")
+        jobs = 2
+        with PersistentWorkerPool(jobs=jobs) as pool:
             pool.start()
-            pooled = _engine_run(pool, specs)
-        assert _canonical(pooled) == _canonical(serial)
-        assert pool.counters.get("plane_inline_fallbacks") == len(specs)
-        assert pool.counters.get("plane_payloads", 0) == 0
+            _engine_run(pool, [spec])
+        cpus = len(os.sched_getaffinity(0))
+        assert int(report.read_text()) == max(1, cpus // jobs)
 
     @fork_only
-    def test_workers_fork_once_across_primes(self, tmp_path):
+    def test_workers_fork_once_across_primes(self, tmp_path, monkeypatch):
+        prewarms = []
+
+        def spy(configs):
+            prewarms.append(list(configs))
+            return rebuild_memoized_inputs(configs)
+
+        monkeypatch.setattr(pool_module, "rebuild_memoized_inputs", spy)
         common.clear_cache()
         executor = ExperimentExecutor(jobs=2, cache_dir=tmp_path)
         with executor.cache_context():
@@ -117,8 +157,10 @@ class TestEngine:
             executor.prime(_specs(3, base=4096))
         executor.close()
         common.clear_cache()
-        # The second prime reused the same live workers.
+        # The second prime reused the same live workers, which could not
+        # inherit a second pre-warm, so the parent built none.
         assert executor.counters.get("workers_spawned") == 2
+        assert len(prewarms) == 1
 
     def test_warm_prime_spawns_no_workers(self, tmp_path):
         specs = _specs(3)
@@ -180,6 +222,29 @@ class TestCrashRecovery:
                 == specs[-1].execute().canonical_bytes())
 
     @fork_only
+    def test_spec_queued_behind_a_crash_is_requeued_free(
+            self, tmp_path, monkeypatch):
+        """One worker holds a crash-once spec and a healthy one: both go
+        back, and only the spec it was executing is charged."""
+        marker = str(tmp_path / "crashed")
+        monkeypatch.setitem(
+            WORKLOAD_FACTORIES, "crashonce", self._crash_factory(marker)
+        )
+        specs = [
+            RunSpec.make("crashonce", params={"elements": 512},
+                         layer="driver"),
+            _vec_spec(768),
+        ]
+        serial = [spec.execute() for spec in specs]
+        with PersistentWorkerPool(jobs=1) as pool:
+            pool.start()
+            pooled = _engine_run(pool, specs)
+        assert os.path.exists(marker)  # the crash really happened
+        assert pool.counters.get("worker_respawns") == 1
+        assert pool.counters.get("specs_requeued") == 1
+        assert _canonical(pooled) == _canonical(serial)
+
+    @fork_only
     def test_torn_result_message_costs_one_respawn(
             self, tmp_path, monkeypatch):
         """A worker dying mid-message loses only its own result pipe."""
@@ -191,8 +256,7 @@ class TestCrashRecovery:
                 self.pipe = pipe
 
             def send(self, message):
-                if message[0] == "done" and not os.path.exists(marker):
-                    open(marker, "w").close()
+                if message[0] == "done" and _claim(marker):
                     # A length header promising more bytes than follow.
                     os.write(self.pipe.fileno(),
                              struct.pack("!i", 64) + b"torn")
