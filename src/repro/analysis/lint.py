@@ -35,10 +35,10 @@ general-purpose linter knows about:
 ``R005``
     No ``multiprocessing.Pool`` construction outside the worker-pool
     engine (``experiments/pool.py``).  Ad-hoc pools
-    fork before the parent pre-warm, dodge the persistent engine's
-    shared-memory plane and crash supervision, and their sweeps never
-    reach the result caches deterministically — all fan-out goes through
-    :class:`~repro.experiments.executor.ExperimentExecutor`.
+    fork before the parent pre-warm, skip the persistent engine's
+    per-worker BLAS thread cap and crash supervision, and their sweeps
+    never reach the result caches deterministically — all fan-out goes
+    through :class:`~repro.experiments.executor.ExperimentExecutor`.
 
 ``R006``
     No direct byte copies between host mappings and device backing

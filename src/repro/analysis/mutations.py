@@ -40,7 +40,7 @@ from repro.cuda.kernels import Kernel
 from repro.hw.gpu import Gpu
 from repro.hw.interconnect import Direction
 from repro.hw.machine import reference_system
-from repro.os.paging import AccessKind, Prot
+from repro.os.paging import AccessKind
 from repro.util.units import KB
 from repro.workloads.vecadd import VectorAdd
 
@@ -163,12 +163,12 @@ def _evict_without_flush(self: Any, block: Any) -> None:
     self.manager.note_coherence(
         "evict", block.region.name, block.index, block.index
     )
-    self.manager.set_block(block, BlockState.READ_ONLY, Prot.READ)
+    self.manager.set_block(block, BlockState.READ_ONLY)
 
 
 def _mark_dirty_unbounded(self: Any, block: Any) -> None:
     """Bug 2: the dirty-block cache never evicts (unbounded rolling)."""
-    self.manager.set_block(block, BlockState.DIRTY, Prot.RW)
+    self.manager.set_block(block, BlockState.DIRTY)
     block.region.table.dirty_bits[block.index] = True  # sanitizer: allow[R004]
     self._dirty.append(block)
 
@@ -177,11 +177,11 @@ def _lazy_fault_without_fetch(self: Any, block: Any, access: Any) -> None:
     """Bug 3: invalid objects are remapped without fetching device data."""
     manager = self.manager
     if block.state is BlockState.READ_ONLY:
-        manager.set_block(block, BlockState.DIRTY, Prot.RW)
+        manager.set_block(block, BlockState.DIRTY)
     elif access is AccessKind.WRITE:
-        manager.set_block(block, BlockState.DIRTY, Prot.RW)
+        manager.set_block(block, BlockState.DIRTY)
     else:
-        manager.set_block(block, BlockState.READ_ONLY, Prot.READ)
+        manager.set_block(block, BlockState.READ_ONLY)
 
 
 def _lazy_pre_call_no_invalidate(self: Any, regions: Any,
@@ -191,16 +191,14 @@ def _lazy_pre_call_no_invalidate(self: Any, regions: Any,
         for index in region.table.indices_in(BlockState.DIRTY):
             self.manager.flush_index(region, int(index), sync=True)
         if region.table.states[0] != INVALID_CODE:
-            self.manager.set_region_blocks(
-                region, BlockState.READ_ONLY, Prot.READ
-            )
+            self.manager.set_region_blocks(region, BlockState.READ_ONLY)
 
 
 def _lazy_pre_call_skip_flush(self: Any, regions: Any,
                               written: Any = None) -> None:
     """Bug 5: release invalidates dirty objects without flushing them."""
     for region in regions:
-        self.manager.set_region_blocks(region, BlockState.INVALID, Prot.NONE)
+        self.manager.set_region_blocks(region, BlockState.INVALID)
 
 
 def _batch_post_sync_no_fetch(self: Any, regions: Any) -> None:
@@ -216,7 +214,7 @@ def _mark_dirty_evict_newest(self: Any, block: Any) -> None:
     unrepaired fault is a crash), so the victim is the second-newest —
     still the wrong end of the FIFO.
     """
-    self.manager.set_block(block, BlockState.DIRTY, Prot.RW)
+    self.manager.set_block(block, BlockState.DIRTY)
     block.region.table.dirty_bits[block.index] = True  # sanitizer: allow[R004]
     self._dirty.append(block)
     while len(self._dirty) > max(self.rolling_size, 1):

@@ -62,7 +62,7 @@ class BlockTable:
 
     __slots__ = (
         "base", "size", "block_size", "n_blocks", "states", "dirty_bits",
-        "owners", "_shift",
+        "owners", "_shift", "manager",
     )
 
     def __init__(self, base, size, block_size):
@@ -86,6 +86,9 @@ class BlockTable:
             block_size.bit_length() - 1
             if block_size & (block_size - 1) == 0 else None
         )
+        #: The manager whose protocol judges accesses to the region's
+        #: mapping (see :meth:`access`); set when the region is allocated.
+        self.manager = None
 
     def index_of(self, address):
         """Block index containing ``address`` (no bounds check)."""
@@ -105,6 +108,16 @@ class BlockTable:
     def range_of(self, start, end):
         """Inclusive (first, last) block indices overlapping [start, end)."""
         return self.index_of(start), self.index_of(end - 1)
+
+    def access(self, kind):
+        """Whether a block in each state (indexed by code) allows ``kind``.
+
+        The region's mapping is bound to this table as its ``guard``, so
+        the MMU asks here on every check: the protections are a view of
+        the block states.  The active protocol's table is read per call,
+        because recovery can switch the protocol mid-run.
+        """
+        return self.manager.protocol.access[kind]
 
     def state_of(self, index):
         return CODE_STATES[self.states[index]]
@@ -139,8 +152,8 @@ def index_runs(indices):
     """Group an ascending index array into inclusive (first, last) runs.
 
     Run-length grouping turns per-block transitions into contiguous range
-    operations: n adjacent blocks demote or re-protect with one mprotect
-    instead of n.
+    operations: n adjacent blocks change state with one vectorized store
+    and charge one ``mprotect`` instead of n.
     """
     if len(indices) == 0:
         return []

@@ -20,12 +20,11 @@ would have cost while the dispatch itself is O(1).
 import numpy as np
 
 from repro.util.errors import AllocationError, GmacError
-from repro.util.intervals import Interval, RangeMap
+from repro.util.intervals import RangeMap
 from repro.hw.interconnect import Direction
 from repro.hw.memory import ledger_bind, ledger_release, ledger_unbind
 from repro.util.avltree import AvlTree
 from repro.sim.tracing import Category, CoherenceEvent
-from repro.os.paging import Prot
 from repro.core.blocks import (
     Block, BlockState, DIRTY_CODE, INVALID_CODE, index_runs,
 )
@@ -93,6 +92,7 @@ class Manager:
         owner = (
             self.placement.place(size) if self.placement is not None else 0
         )
+        space = self.process.address_space
         with self.accounting.measure(Category.MALLOC, label=name):
             self.clock.advance(self.costs.api_call_s)
             if safe:
@@ -100,8 +100,7 @@ class Manager:
                     lambda: self.layer.alloc(size, owner=owner)
                 )
                 self.clock.advance(self.costs.mmap_s)
-                mapping = self.process.address_space.mmap(size, Prot.RW)
-                host_start = mapping.start
+                mapping = space.mmap(size)
             elif self.layer.gpu_for(owner).spec.virtual_memory:
                 # Section 4.2's collision-free path: with accelerator
                 # virtual memory, negotiate one virtual range free on BOTH
@@ -110,36 +109,31 @@ class Manager:
                     lambda: self._alloc_common_range(name, size, owner)
                 )
                 self.clock.advance(self.costs.mmap_s)
-                self.process.address_space.mmap(
-                    size, Prot.RW, fixed_address=device_start
-                )
-                host_start = device_start
+                mapping = space.mmap(size, fixed_address=device_start)
             else:
                 device_start = self._device_alloc(
                     lambda: self.layer.alloc(size, owner=owner)
                 )
                 self.clock.advance(self.costs.mmap_s)
                 try:
-                    self.process.address_space.mmap(
-                        size, Prot.RW, fixed_address=device_start
-                    )
+                    mapping = space.mmap(size, fixed_address=device_start)
                 except AllocationError as exc:
                     self.layer.free(device_start, owner=owner)
                     raise GmacError(
                         f"shared mapping collision for {name}: {exc}; "
                         "use adsmSafeAlloc on this system"
                     ) from exc
-                host_start = device_start
             region = SharedRegion(
-                name,
-                host_start,
-                device_start,
-                size,
+                name, mapping.start, device_start, size,
                 self.protocol.block_size_for(size),
             )
             region.set_owner(owner)
-            self._regions.add(region.interval, region)
             table = region.table
+            # The mapping's protections become a view of the block states
+            # under the active protocol: no page bits, no mprotect.
+            table.manager = self
+            mapping.guard = table
+            self._regions.add(region.interval, region)
             for index in range(table.n_blocks):
                 self._cost_tree.insert(table.start_of(index), None)
             self._steps_epoch += 1
@@ -148,7 +142,7 @@ class Manager:
                 "alloc", region.name, 0, table.n_blocks - 1,
                 detail=f"size={size}",
             )
-            self._bind_transfer_plane(region)
+            self._bind_transfer_plane(region, mapping)
             self.protocol.on_alloc(region)
         return region
 
@@ -264,25 +258,20 @@ class Manager:
             ))
 
     # -- protection and state ---------------------------------------------------------
+    #
+    # A shared mapping's protections are a view of its block states (the
+    # table is bound as the mapping's guard at alloc), so a transition is
+    # one table store.  The ``set_*`` transitions still charge the one
+    # mprotect call per contiguous run that GMAC makes (``mprotect_s``).
 
-    def set_prot(self, interval, prot):
-        """One mprotect call over a contiguous range (charged once)."""
-        self.clock.advance(self.costs.mprotect_s)
-        self.process.address_space.mprotect(interval.start, interval.size, prot)
-
-    def set_block(self, block, state, prot):
-        table = block.region.table
+    def set_block(self, block, state):
         index = block.index
-        table.states[index] = state.code
+        block.region.table.states[index] = state.code
         self.accounting.count_transitions(1)
         self._note_transition(block.region, index, index, state)
-        start = table.start_of(index)
         self.clock.advance(self.costs.mprotect_s)
-        self.process.address_space.mprotect(
-            start, table.end_of(index) - start, prot
-        )
 
-    def set_region_blocks(self, region, state, prot, detail=""):
+    def set_region_blocks(self, region, state, detail=""):
         """Bulk state+protection change for a whole region (one mprotect).
 
         ``detail`` tags the transition event (e.g. ``wo-release`` for a
@@ -293,31 +282,28 @@ class Manager:
         self._note_transition(
             region, 0, region.table.n_blocks - 1, state, detail
         )
-        self.set_prot(region.interval, prot)
+        self.clock.advance(self.costs.mprotect_s)
 
-    def set_blocks_range(self, blocks, state, prot):
+    def set_blocks_range(self, blocks, state):
         """Bulk state+protection change for a contiguous run of blocks.
 
         The run must be address-adjacent (as produced by walking a region
-        in order); the whole span is re-protected with a single mprotect,
-        so n adjacent transitions charge one syscall instead of n.
+        in order); it charges a single mprotect, so n adjacent transitions
+        cost one syscall instead of n.
         """
         self.set_index_range(
-            blocks[0].region, blocks[0].index, blocks[-1].index, state, prot
+            blocks[0].region, blocks[0].index, blocks[-1].index, state
         )
 
-    def set_index_range(self, region, first, last, state, prot):
+    def set_index_range(self, region, first, last, state):
         """Vectorized state+protection change over an inclusive index run."""
-        table = region.table
-        table.fill_range(first, last, state)
+        region.table.fill_range(first, last, state)
         self.accounting.count_transitions(last - first + 1)
         self._note_transition(region, first, last, state)
-        self.set_prot(
-            Interval(table.start_of(first), table.end_of(last)), prot
-        )
+        self.clock.advance(self.costs.mprotect_s)
 
     def set_states_only(self, region, state):
-        """Whole-region state bookkeeping with no protection change.
+        """Whole-region state bookkeeping that charges no mprotect.
 
         The batch protocol runs with no memory protections, so its bulk
         transitions are pure table fills; routing them here keeps the
@@ -328,11 +314,11 @@ class Manager:
         self._note_transition(region, 0, region.table.n_blocks - 1, state)
 
     def mark_state(self, region, index, state):
-        """Single-block state bookkeeping with no protection change.
+        """Single-block state bookkeeping that charges no mprotect.
 
-        Used by protocols for transitions whose protection was already
-        established (e.g. rolling-update's call-time demotion of blocks
-        its eager eviction left read-protected).
+        Used by protocols for transitions whose protection change another
+        call charges (rolling-update's call-time demotion of its dirty
+        FIFO, which the region-wide release right after re-protects).
         """
         region.table.states[index] = state.code
         self.accounting.count_transitions(1)
@@ -455,7 +441,7 @@ class Manager:
             )
         return result
 
-    def _bind_transfer_plane(self, region):
+    def _bind_transfer_plane(self, region, mapping):
         """Bind the region's mapping to its device range for the transfer
         ledger (DESIGN.md §14); a no-op in eager-transfer mode, where no
         plane is ever created.  A fresh pairing is synced by construction —
@@ -466,9 +452,6 @@ class Manager:
         here at birth."""
         gpu = self.layer.gpu_for(region.owner)
         if not gpu.defer_transfers:
-            return
-        mapping = self.process.address_space.mapping_at(region.host_start)
-        if mapping is None:
             return
         ledger_bind(
             gpu.memory, region.device_start, mapping, region.host_start,
@@ -493,8 +476,8 @@ class Manager:
         blocks already match; invalid blocks are device-canonical by
         definition.  Used by bulk-operation interposition before
         device-side copies.  Dirty blocks are found with one vectorized
-        scan and demote as contiguous runs — one mprotect per run, not
-        per block.
+        scan and demote as contiguous runs — one charged mprotect per run,
+        not per block.
         """
         span = region.block_range(interval)
         if span is None:
@@ -514,8 +497,8 @@ class Manager:
 
         Each invalid block still fetches individually (transfers are
         per-block), but the invalid set is found with one vectorized scan
-        and adjacent fetched blocks re-protect with a single range
-        mprotect per run.
+        and adjacent fetched blocks turn read-only together, charging one
+        range mprotect per run.
         """
         span = region.block_range(interval)
         if span is None:
@@ -527,7 +510,7 @@ class Manager:
             for index in range(run_first, run_last + 1):
                 self.fetch_index(region, index)
             self.set_index_range(
-                region, run_first, run_last, BlockState.READ_ONLY, Prot.READ
+                region, run_first, run_last, BlockState.READ_ONLY
             )
 
     def migrate_region(self, region, target, reason="kernel"):

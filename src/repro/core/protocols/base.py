@@ -9,12 +9,27 @@ are defined from the CPU's perspective only.
 
 import abc
 
+import numpy as np
+
+from repro.os.paging import AccessKind
+from repro.core.blocks import BlockState
+
 
 class Protocol(abc.ABC):
     """State-machine policy for one :class:`~repro.core.manager.Manager`."""
 
     #: Load-time selection key (see PROTOCOLS in the package __init__).
     name = "abstract"
+
+    #: Section 4.3's protections as a view of block state: per access kind,
+    #: whether a block in each state allows it, indexed by state code
+    #: (INVALID, DIRTY, READ_ONLY).  Invalid blocks take no access,
+    #: read-only blocks take reads and dirty blocks take both.  The MMU
+    #: reads it, through the region's block table, on every check.
+    access = {
+        AccessKind.READ: np.array([False, True, True]),
+        AccessKind.WRITE: np.array([False, True, False]),
+    }
 
     def __init__(self, manager):
         self.manager = manager
@@ -67,34 +82,22 @@ class Protocol(abc.ABC):
     def demote_clean(self, block):
         """A dirty block was flushed outside the call boundary: both copies
         now match, so it becomes read-only."""
-        from repro.core.blocks import BlockState
-        from repro.os.paging import Prot
-
-        self.manager.set_block(block, BlockState.READ_ONLY, Prot.READ)
+        self.manager.set_block(block, BlockState.READ_ONLY)
 
     def demote_clean_range(self, blocks):
         """A contiguous run of flushed dirty blocks demotes together: one
-        range mprotect instead of one per block."""
-        from repro.core.blocks import BlockState
-        from repro.os.paging import Prot
-
-        self.manager.set_blocks_range(blocks, BlockState.READ_ONLY, Prot.READ)
+        charged range mprotect instead of one per block."""
+        self.manager.set_blocks_range(blocks, BlockState.READ_ONLY)
 
     def discard_block(self, block):
         """Drop the host copy of one block: the device copy just became
         canonical (after a device-side memset/memcpy)."""
-        from repro.core.blocks import BlockState
-        from repro.os.paging import Prot
-
-        self.manager.set_block(block, BlockState.INVALID, Prot.NONE)
+        self.manager.set_block(block, BlockState.INVALID)
 
     def invalidate_region(self, region):
         """Discard the host copy of a region (used by bulk-op interposition
         after device-side memset/memcpy made the accelerator canonical)."""
-        from repro.core.blocks import BlockState
-        from repro.os.paging import Prot
-
-        self.manager.set_region_blocks(region, BlockState.INVALID, Prot.NONE)
+        self.manager.set_region_blocks(region, BlockState.INVALID)
 
     # -- fault recovery hooks (see repro.core.recovery) --------------------------
 
@@ -110,12 +113,9 @@ class Protocol(abc.ABC):
     def after_device_recovery(self, regions):
         """Reset resting states after device loss re-materialisation.
 
-        Every block was just flushed, so both copies match: READ_ONLY with
-        read protection lets fault-driven protocols resume precisely.
-        Batch-update overrides (it runs without protections).
+        Every block was just flushed, so both copies match: READ_ONLY
+        (readable, write-faulting) lets fault-driven protocols resume
+        precisely.  Batch-update overrides (it runs without protections).
         """
-        from repro.core.blocks import BlockState
-        from repro.os.paging import Prot
-
         for region in regions:
-            self.manager.set_region_blocks(region, BlockState.READ_ONLY, Prot.READ)
+            self.manager.set_region_blocks(region, BlockState.READ_ONLY)

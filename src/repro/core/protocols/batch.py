@@ -10,7 +10,9 @@ hand-write first, and is the protocol behind the 65.18x (pns) and 18.61x
 (rpes) slow-downs in Figure 7.
 """
 
-from repro.os.paging import Prot
+import numpy as np
+
+from repro.os.paging import AccessKind
 from repro.core.blocks import BlockState
 from repro.core.protocols.base import Protocol
 
@@ -22,13 +24,16 @@ class BatchUpdate(Protocol):
     # refetched on demand, so bulk ops must stay on the host path.
     supports_device_bulk = False
 
+    # No protections: a block in any state takes reads and writes.
+    access = {kind: np.ones(3, dtype=bool) for kind in AccessKind}
+
     def block_size_for(self, region_size):
         # Whole-object granularity: one block per region.
         return max(region_size, 1)
 
     def on_alloc(self, region):
         # The CPU owns fresh objects; no access detection is installed.
-        self.manager.set_region_blocks(region, BlockState.DIRTY, Prot.RW)
+        self.manager.set_region_blocks(region, BlockState.DIRTY)
 
     def on_fault(self, block, access):
         raise AssertionError(
@@ -63,7 +68,7 @@ class BatchUpdate(Protocol):
 
     def after_device_recovery(self, regions):
         # Batch runs unprotected with host copies always writable; the
-        # recovery flush made both sides match, so DIRTY/RW is the resting
+        # recovery flush made both sides match, so DIRTY is the resting
         # state (a redundant re-flush at the next call is batch's nature).
         for region in regions:
-            self.manager.set_region_blocks(region, BlockState.DIRTY, Prot.RW)
+            self.manager.set_region_blocks(region, BlockState.DIRTY)

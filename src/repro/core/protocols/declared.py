@@ -31,7 +31,6 @@ the declarations legitimately relax.
 """
 
 from repro.util.errors import GmacError
-from repro.os.paging import Prot
 from repro.core.blocks import BlockState, INVALID_CODE
 from repro.core.protocols.lazy import LazyUpdate
 
@@ -93,8 +92,7 @@ class DeclaredModes(LazyUpdate):
                 # The tagged transition lets the checker exempt its
                 # lost-update rule for exactly this (verified) case.
                 self.manager.set_region_blocks(
-                    region, BlockState.INVALID, Prot.NONE,
-                    detail="wo-release",
+                    region, BlockState.INVALID, detail="wo-release"
                 )
                 continue
             for index in region.table.indices_in(BlockState.DIRTY):
@@ -105,10 +103,6 @@ class DeclaredModes(LazyUpdate):
                 # objects stay invalid (their host bytes predate an
                 # earlier kernel).
                 if region.table.states[0] != INVALID_CODE:
-                    self.manager.set_region_blocks(
-                        region, BlockState.READ_ONLY, Prot.READ
-                    )
+                    self.manager.set_region_blocks(region, BlockState.READ_ONLY)
             else:
-                self.manager.set_region_blocks(
-                    region, BlockState.INVALID, Prot.NONE
-                )
+                self.manager.set_region_blocks(region, BlockState.INVALID)

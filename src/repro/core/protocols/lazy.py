@@ -15,7 +15,7 @@ bytes materialize almost immediately — lazy's win is the delta flush, not
 elision, and that is expected (see the transfer-equivalence suite).
 """
 
-from repro.os.paging import Prot, AccessKind
+from repro.os.paging import AccessKind
 from repro.core.blocks import BlockState, INVALID_CODE
 from repro.core.protocols.base import Protocol
 
@@ -30,7 +30,7 @@ class LazyUpdate(Protocol):
     def on_alloc(self, region):
         # "Shared data structures are initialized to a read-only state when
         # they are allocated, so read accesses do not trigger a page fault."
-        self.manager.set_region_blocks(region, BlockState.READ_ONLY, Prot.READ)
+        self.manager.set_region_blocks(region, BlockState.READ_ONLY)
 
     def on_fault(self, block, access):
         manager = self.manager
@@ -39,14 +39,14 @@ class LazyUpdate(Protocol):
                 raise AssertionError(
                     f"read fault on readable block {block!r}"
                 )
-            manager.set_block(block, BlockState.DIRTY, Prot.RW)
+            manager.set_block(block, BlockState.DIRTY)
         elif block.state is BlockState.INVALID:
             # Transfer the whole object back before the access proceeds.
             manager.fetch_to_host(block)
             if access is AccessKind.WRITE:
-                manager.set_block(block, BlockState.DIRTY, Prot.RW)
+                manager.set_block(block, BlockState.DIRTY)
             else:
-                manager.set_block(block, BlockState.READ_ONLY, Prot.READ)
+                manager.set_block(block, BlockState.READ_ONLY)
         else:
             raise AssertionError(f"fault on dirty (RW) block {block!r}")
 
@@ -65,13 +65,9 @@ class LazyUpdate(Protocol):
                 # promoting them to READ_ONLY would let the CPU silently
                 # read pre-kernel data (caught by the coherence checker).
                 if region.table.states[0] != INVALID_CODE:
-                    self.manager.set_region_blocks(
-                        region, BlockState.READ_ONLY, Prot.READ
-                    )
+                    self.manager.set_region_blocks(region, BlockState.READ_ONLY)
             else:
-                self.manager.set_region_blocks(
-                    region, BlockState.INVALID, Prot.NONE
-                )
+                self.manager.set_region_blocks(region, BlockState.INVALID)
 
     def post_sync(self, regions):
         # Nothing moves at return time; objects fault back on first use.

@@ -25,7 +25,7 @@ from collections import deque
 
 from repro.util.units import KB
 from repro.sim.tracing import Category
-from repro.os.paging import Prot, AccessKind, PAGE_SIZE, page_ceil
+from repro.os.paging import AccessKind, PAGE_SIZE, page_ceil
 from repro.core.blocks import BlockState, INVALID_CODE, index_runs
 from repro.core.protocols.base import Protocol
 
@@ -68,7 +68,7 @@ class RollingUpdate(Protocol):
     # -- state machine -------------------------------------------------------------
 
     def on_alloc(self, region):
-        self.manager.set_region_blocks(region, BlockState.READ_ONLY, Prot.READ)
+        self.manager.set_region_blocks(region, BlockState.READ_ONLY)
         if self.adaptive:
             # Tie the dirty-block budget to the number of live objects so
             # every object can keep at least one block dirty (Section 4.3).
@@ -93,12 +93,12 @@ class RollingUpdate(Protocol):
             if access is AccessKind.WRITE:
                 self._mark_dirty(block)
             else:
-                manager.set_block(block, BlockState.READ_ONLY, Prot.READ)
+                manager.set_block(block, BlockState.READ_ONLY)
         else:
             raise AssertionError(f"fault on dirty (RW) block {block!r}")
 
     def _mark_dirty(self, block):
-        self.manager.set_block(block, BlockState.DIRTY, Prot.RW)
+        self.manager.set_block(block, BlockState.DIRTY)
         block.region.table.dirty_bits[block.index] = True
         self._dirty.append(block)
         while len(self._dirty) > max(self.rolling_size, 1):
@@ -121,7 +121,7 @@ class RollingUpdate(Protocol):
         )
         self._await_staging_buffer()
         self._last_eviction = self.manager.flush_to_device(block, sync=False)
-        self.manager.set_block(block, BlockState.READ_ONLY, Prot.READ)
+        self.manager.set_block(block, BlockState.READ_ONLY)
 
     def _await_staging_buffer(self):
         """Wait for the previous eager transfer's staging buffer.
@@ -167,13 +167,10 @@ class RollingUpdate(Protocol):
                     table.indices_not_in(BlockState.INVALID)
                 ):
                     self.manager.set_index_range(
-                        region, int(first), int(last),
-                        BlockState.READ_ONLY, Prot.READ,
+                        region, int(first), int(last), BlockState.READ_ONLY
                     )
             else:
-                self.manager.set_region_blocks(
-                    region, BlockState.INVALID, Prot.NONE
-                )
+                self.manager.set_region_blocks(region, BlockState.INVALID)
 
     def post_sync(self, regions):
         # Blocks return on demand, one fault and one block at a time.
@@ -218,7 +215,7 @@ class RollingUpdate(Protocol):
                 detail="forced",
             )
             self.manager.flush_to_device(block, sync=True)
-            self.manager.set_block(block, BlockState.READ_ONLY, Prot.READ)
+            self.manager.set_block(block, BlockState.READ_ONLY)
             evicted += 1
         self.rolling_size = max(1, self.rolling_size // 2)
         self.manager.note_coherence("limit", detail=str(self.rolling_size))

@@ -576,7 +576,6 @@ class RecoveryPolicy:
     def _switch_protocol(self, current, target, rate):
         from repro.core.protocols import PROTOCOLS
         from repro.core.blocks import BlockState
-        from repro.os.paging import Prot
 
         gmac = self.gmac
         manager = gmac.manager
@@ -588,7 +587,7 @@ class RecoveryPolicy:
                 # as always-canonical, so the host must be made whole first.
                 for region in manager.regions():
                     manager.ensure_host_canonical(region, region.interval)
-                    manager.set_region_blocks(region, BlockState.DIRTY, Prot.RW)
+                    manager.set_region_blocks(region, BlockState.DIRTY)
         finally:
             self._internal_done(monitor)
         gmac.protocol = replacement

@@ -1,17 +1,25 @@
 """Page-granular virtual address space with a software MMU.
 
-A :class:`Mapping` is an anonymous memory region with per-page protection
-bits and a byte-accurate backing store.  :class:`AddressSpace` keeps
-mappings disjoint and implements the three system interfaces GMAC's shared
-address space needs (Section 4.2 of the paper):
+A :class:`Mapping` is an anonymous memory region with a byte-accurate
+backing store.  :class:`AddressSpace` keeps mappings disjoint and
+implements the three system interfaces GMAC's shared address space needs
+(Section 4.2 of the paper):
 
 * ``mmap`` with an optional *fixed* address — how GMAC places system memory
   at the exact virtual range ``cudaMalloc`` returned,
 * ``munmap``,
-* ``mprotect`` — how lazy- and rolling-update arm fault detection.
+* ``mprotect`` — per-page protection bits of a plain mapping.
+
+A mapping takes its protections from one of two sources.  A plain mapping
+keeps per-page protection bits, which ``mprotect`` sets.  A mapping that
+backs a GMAC shared region is bound to the region's block table (its
+``guard``): its protections are a view of the block states under the
+active protocol's access table (Section 4.3 — invalid blocks take no
+access, read-only blocks take reads, dirty blocks take both), so the
+state machine is their one source of truth and ``mprotect`` refuses it.
 
 The MMU itself is the :meth:`AddressSpace.check` method: given an access,
-it returns the first page-protection violation, which the process layer
+it returns the first protection violation, which the process layer
 converts into a SIGSEGV.  ``peek``/``poke`` bypass protections; they model
 the library's own privileged access to memory it manages.
 """
@@ -23,12 +31,12 @@ from repro.util.errors import AddressError, AllocationError, ProtectionError
 from repro.util.intervals import Interval, RangeMap
 from repro.os.paging import PAGE_SIZE, AccessKind, Prot, page_ceil
 
-#: AccessKind -> required protection bits, flattened to plain ints once:
-#: the MMU consults this on every access check, and the enum property +
-#: IntFlag conversion were measurable there.
-_REQUIRED_PROT = {
-    AccessKind.READ: int(Prot.READ),
-    AccessKind.WRITE: int(Prot.WRITE),
+#: AccessKind -> whether a page with each protection code (the
+#: :class:`Prot` bits, 0-3) allows that kind; the MMU indexes it with a
+#: plain mapping's page codes.
+_PAGE_ACCESS = {
+    kind: np.array([bool(code & kind.required_prot) for code in range(4)])
+    for kind in AccessKind
 }
 
 #: Where non-fixed mmaps are placed, loosely mimicking the Linux x86-64
@@ -41,13 +49,20 @@ USER_TOP = 1 << 47
 
 
 class Mapping:
-    """One anonymous mapping: backing bytes + per-page protections."""
+    """One anonymous mapping: backing bytes + its protection source."""
 
     #: Transfer-ledger plane (:class:`repro.hw.memory.MappingPlane`), bound
     #: when this mapping backs a shared region on a deferred-transfer GPU;
     #: None for plain mappings and in eager mode.  The access paths below
     #: consult it duck-typed — :mod:`repro.os` never imports :mod:`repro.hw`.
     plane = None
+
+    #: Protection source of a mapping that backs a shared region: the
+    #: region's block table, bound duck-typed like :attr:`plane`
+    #: (``states``, one code per block; ``block_size``; ``access(kind)``, a
+    #: boolean array indexed by code).  None for plain mappings, whose
+    #: protections are the per-page bits in ``page_prots``.
+    guard = None
 
     def __init__(self, start, size, prot):
         if start % PAGE_SIZE != 0 or size % PAGE_SIZE != 0:
@@ -70,83 +85,62 @@ class Mapping:
     def size(self):
         return self.interval.size
 
-    def _page_range(self, interval):
-        first = (interval.start - self.start) // PAGE_SIZE
-        last = (page_ceil(interval.end) - self.start) // PAGE_SIZE
-        return first, last
-
-    def set_prot(self, interval, prot):
-        first, last = self._page_range(interval)
-        self.page_prots[first:last] = int(prot)
-
     def set_prot_span(self, address, size, prot):
-        """Like :meth:`set_prot` for a page-aligned span (hot path)."""
+        """Set the protection bits of a page-aligned span."""
         first = (address - self.interval.start) // PAGE_SIZE
         self.page_prots[first:first + size // PAGE_SIZE] = int(prot)
 
     def prot_of(self, address):
-        return Prot(int(self.page_prots[(address - self.start) // PAGE_SIZE]))
-
-    def first_violation(self, interval, kind):
-        """Address of the first page lacking ``kind``'s required bit."""
-        return self.first_violation_at(
-            interval.start, interval.end - interval.start, kind
-        )
+        """The protection bits in force at ``address``, from either source."""
+        return Prot(sum(
+            kind.required_prot for kind in AccessKind
+            if self.first_violation_at(address, 1, kind) is None
+        ))
 
     def first_violation_at(self, address, size, kind):
-        """Like :meth:`first_violation` without an Interval (hot path)."""
+        """First address in ``[address, +size)`` that ``kind`` may not
+        access, or None.
+
+        Both protection sources are one code per granule — a page's bits,
+        or a shared region's block state — judged by a per-kind table
+        indexed by code, so one check serves both kinds of mapping.
+        """
+        guard = self.guard
+        if guard is None:
+            codes, granule = self.page_prots, PAGE_SIZE
+            allowed = _PAGE_ACCESS[kind]
+        else:
+            codes, granule = guard.states, guard.block_size
+            allowed = guard.access(kind)
         start = self.interval.start
-        first = (address - start) // PAGE_SIZE
-        last = (page_ceil(address + size) - start) // PAGE_SIZE
-        required = _REQUIRED_PROT[kind]
-        prots = self.page_prots
-        # Faults overwhelmingly land on an access's first page (the retry
+        first = (address - start) // granule
+        # Faults overwhelmingly land on an access's first granule (the retry
         # loop re-enters exactly where it stopped), so a scalar test there
         # skips building the vector mask for wide spans.
-        if prots[first] & required != required:
-            return max(start + first * PAGE_SIZE, address)
-        violations = (prots[first:last] & required) != required
-        index = int(np.argmax(violations)) if violations.any() else -1
-        if index < 0:
+        if not allowed[codes[first]]:
+            return address
+        last = (address + size - 1 - start) // granule
+        if last == first:
             return None
-        page_start = start + (first + index) * PAGE_SIZE
-        return max(page_start, address)
-
-    def slice(self, interval):
-        """Writable numpy view of the backing bytes for ``interval``."""
-        lo = interval.start - self.start
-        hi = interval.end - self.start
-        return self.backing[lo:hi]
+        ok = allowed[codes[first + 1:last + 1]]
+        if ok.all():
+            return None
+        return start + (first + 1 + int(np.argmin(ok))) * granule
 
     def slice_at(self, address, size):
-        """Like :meth:`slice` without materializing an Interval (hot path)."""
+        """Writable numpy view of the backing bytes of ``[address, +size)``."""
         lo = address - self.start
         return self.backing[lo:lo + size]
 
 
 class AddressSpace:
-    """All mappings of one process, plus the software MMU.
-
-    The MMU keeps a one-entry-per-:class:`~repro.os.paging.AccessKind`
-    **soft TLB**: the maximal run of pages around the last successful
-    access check whose protections permit that kind.  Sequential bulk
-    accesses (the common workload pattern) then resolve by two integer
-    compares instead of a mapping lookup plus a page-bit scan.
-    ``mmap``/``munmap`` bump a generation counter that invalidates every
-    cached run at once; ``mprotect`` invalidates surgically — only a change
-    that revokes a kind's required bit inside that kind's cached run can
-    shrink the run, so grants (the fault-handling path) keep runs alive.
-    """
+    """All mappings of one process, plus the software MMU."""
 
     def __init__(self):
         self._mappings = RangeMap()
-        self._generation = 0
-        self._tlb = {}
         #: Last mapping a lookup resolved — accesses are strongly local, so
-        #: most lookups skip the range-map bisect.  Only mmap/munmap change
-        #: the mapping *set* (mprotect does not), hence the separate
-        #: generation counter.
-        self._map_generation = 0
+        #: most lookups skip the range-map bisect.  Adding a mapping cannot
+        #: invalidate it; removing one clears it.
         self._last_mapping = None
 
     def __len__(self):
@@ -187,8 +181,6 @@ class AddressSpace:
                 raise AllocationError(f"address space exhausted for {size} bytes")
         mapping = Mapping(interval.start, size, prot)
         self._mappings.add(interval, mapping)
-        self._generation += 1
-        self._map_generation += 1
         return mapping
 
     def conflict_at(self, start, size):
@@ -201,16 +193,15 @@ class AddressSpace:
     def munmap(self, start):
         """Remove the mapping starting at ``start``."""
         _, mapping = self._mappings.remove(start)
-        self._generation += 1
-        self._map_generation += 1
         self._last_mapping = None
         return mapping
 
     def mprotect(self, address, size, prot):
-        """Change protections over ``[address, address+size)``.
+        """Change a plain mapping's protections over ``[address, +size)``.
 
-        The range must be page aligned and fall inside a single mapping —
-        the only pattern GMAC uses (a block never spans mappings).
+        The range must be page aligned and fall inside a single mapping.
+        A mapping bound to a shared region's block table takes its
+        protections from the block states, so it refuses ``mprotect``.
         """
         if address % PAGE_SIZE != 0:
             raise ProtectionError(f"mprotect address {address:#x} not page aligned")
@@ -220,22 +211,12 @@ class AddressSpace:
             raise ProtectionError(
                 f"mprotect range {Interval.sized(address, size)} is not mapped"
             )
+        if mapping.guard is not None:
+            raise ProtectionError(
+                f"mprotect of {Interval.sized(address, size)}: a shared "
+                "region's block states own its protections"
+            )
         mapping.set_prot_span(address, size, prot)
-        # Surgical soft-TLB invalidation: granting a bit can never shrink an
-        # accessible run, so only a change that *revokes* a kind's required
-        # bit inside that kind's cached run drops the entry.  Fault handling
-        # mprotects to grant access, so cached runs survive the per-block
-        # faults that follow a kernel; revocations (block demotion and
-        # invalidation) still invalidate exactly the runs they can affect.
-        prot_int = int(prot)
-        end = address + size
-        for kind in tuple(self._tlb):
-            required = _REQUIRED_PROT[kind]
-            if prot_int & required == required:
-                continue
-            entry = self._tlb[kind]
-            if address < entry[2] and end > entry[1]:
-                del self._tlb[kind]
 
     # -- the software MMU -----------------------------------------------------
 
@@ -244,21 +225,20 @@ class AddressSpace:
         cached = self._last_mapping
         if (
             cached is not None
-            and cached[0] == self._map_generation
-            and cached[1].interval.start <= address < cached[1].interval.end
+            and cached.interval.start <= address < cached.interval.end
         ):
-            return cached[1]
+            return cached
         found = self._mappings.find(address)
         if found is None:
             return None
-        self._last_mapping = (self._map_generation, found[1])
+        self._last_mapping = found[1]
         return found[1]
 
     def check(self, address, size, kind):
         """Return the first faulting address for an access, or None.
 
-        Unmapped addresses fault at the first unmapped byte; mapped pages
-        fault where protection bits are missing.
+        Unmapped addresses fault at the first unmapped byte; mapped memory
+        faults where its protections deny ``kind``.
         """
         if size <= 0:
             raise ValueError(f"access size must be positive, got {size}")
@@ -280,21 +260,19 @@ class AddressSpace:
         return None
 
     def accessible_mapping(self, address, size, kind):
-        """The mapping behind a fully TLB-covered access, or None.
+        """The one mapping holding ``[address, +size)`` when ``kind`` may
+        access all of it, else None.
 
-        A soft-TLB hit guarantees the whole range is accessible for
-        ``kind`` *and* lies inside one mapping (only single-mapping runs
-        are cached), so bulk access paths can commit in one slice copy
-        without the prefix walk or a per-chunk closure.
+        Bulk access paths then commit in one slice copy without the prefix
+        walk or a per-chunk closure.
         """
-        entry = self._tlb.get(kind)
+        mapping = self.mapping_at(address)
         if (
-            entry is not None
-            and entry[0] == self._generation
-            and entry[1] <= address
-            and address + size <= entry[2]
+            mapping is not None
+            and address + size <= mapping.interval.end
+            and mapping.first_violation_at(address, size, kind) is None
         ):
-            return self.mapping_at(address)
+            return mapping
         return None
 
     def writable_prefix(self, address, size, kind):
@@ -302,49 +280,10 @@ class AddressSpace:
 
         The process access loop uses this to commit the accessible prefix
         of a large access before faulting on the rest — matching how real
-        hardware retires stores up to the faulting instruction.  A soft-TLB
-        hit (the access falls inside the cached accessible run for this
-        kind, and no protection change happened since) skips the walk.
+        hardware retires stores up to the faulting instruction.
         """
-        entry = self._tlb.get(kind)
-        if (
-            entry is not None
-            and entry[0] == self._generation
-            and entry[1] <= address
-            and address + size <= entry[2]
-        ):
-            return size
         fault = self.check(address, size, kind)
-        if fault is None:
-            self._cache_accessible_run(address, size, kind)
-            return size
-        return fault - address
-
-    def _cache_accessible_run(self, address, size, kind):
-        """Cache the maximal ``kind``-accessible page run around an access.
-
-        Only single-mapping accesses are cached (GMAC blocks never span
-        mappings); the run extends left and right from the access until a
-        page lacks the required bit or the mapping ends.
-        """
-        mapping = self.mapping_at(address)
-        if mapping is None or address + size > mapping.end:
-            return
-        required = _REQUIRED_PROT[kind]
-        ok = (mapping.page_prots & required) == required
-        first = (address - mapping.start) // PAGE_SIZE
-        last = (address + size - 1 - mapping.start) // PAGE_SIZE
-        blocked_before = np.flatnonzero(~ok[:first])
-        lo_page = int(blocked_before[-1]) + 1 if len(blocked_before) else 0
-        blocked_after = np.flatnonzero(~ok[last + 1:])
-        hi_page = (
-            last + 1 + int(blocked_after[0]) if len(blocked_after) else len(ok)
-        )
-        self._tlb[kind] = (
-            self._generation,
-            mapping.start + lo_page * PAGE_SIZE,
-            mapping.start + hi_page * PAGE_SIZE,
-        )
+        return size if fault is None else fault - address
 
     # -- privileged data access (no protection checks) ------------------------
 

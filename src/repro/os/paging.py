@@ -1,9 +1,11 @@
 """Pages, protection bits and access kinds.
 
 The simulated MMU works at 4KB page granularity, like the x86 hosts in the
-paper's testbed.  GMAC's lazy-update protocol protects whole objects and
-rolling-update protects fixed-size blocks; both express protections as page
-ranges through ``mprotect``.
+paper's testbed.  Plain mappings carry :class:`Prot` bits per page, set
+through ``mprotect``.  A GMAC shared region's protections are instead a
+view of its block states: lazy-update protects whole objects and
+rolling-update fixed-size, page-aligned blocks, so every protection
+boundary still falls on a page boundary.
 """
 
 import enum
@@ -28,7 +30,7 @@ class AccessKind(enum.Enum):
     WRITE = "write"
 
     # Members are singletons; the identity hash skips Enum's name-based
-    # hashing on the access-check fast path (soft-TLB dict lookups).
+    # hashing on the access-check fast path (access-table dict lookups).
     __hash__ = object.__hash__
 
     @property

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.util.buffers import as_byte_view
 from repro.util.errors import AddressError, SegmentationFault
-from repro.os.paging import Prot, AccessKind, page_ceil
+from repro.os.paging import AccessKind
 from repro.os.address_space import AddressSpace
 from repro.os.signals import SegvInfo, SignalDispatcher
 
@@ -36,7 +36,7 @@ class Process:
 
     def malloc(self, size):
         """Allocate ordinary (non-shared) memory; returns a :class:`Ptr`."""
-        mapping = self.address_space.mmap(page_ceil(max(size, 1)), Prot.RW)
+        mapping = self.address_space.mmap(max(size, 1))
         return Ptr(self, mapping.start)
 
     def free(self, ptr):
@@ -52,8 +52,9 @@ class Process:
         order.  Returns only when the whole range has been covered.
         """
         # Bound methods hoisted out of the loop: this runs once per chunk of
-        # every simulated load/store, and with the address-space soft TLB the
-        # prefix check itself is now cheap enough for the lookups to show.
+        # every simulated load/store, and the prefix check (a cached mapping
+        # lookup plus a state-code test) is cheap enough for the lookups to
+        # show.
         writable_prefix = self.address_space.writable_prefix
         deliver = self.signals.deliver
         offset = 0
@@ -118,8 +119,8 @@ class Process:
         out = np.frombuffer(out, dtype=np.uint8)
         space = self.address_space
         size = len(out)
-        # Soft-TLB hit: the whole range is readable inside one mapping, so
-        # one slice copy replaces the prefix walk and per-chunk closures.
+        # The whole range is readable inside one mapping: one slice copy
+        # replaces the prefix walk and per-chunk closures.
         mapping = space.accessible_mapping(address, size, AccessKind.READ)
         if mapping is not None:
             lo = address - mapping.interval.start

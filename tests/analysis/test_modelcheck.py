@@ -74,16 +74,13 @@ def test_counterexamples_replay_from_the_event_stream():
     """A seeded protocol bug yields counterexamples that replay exactly."""
     from repro.core.blocks import BlockState
     from repro.core.protocols.lazy import LazyUpdate
-    from repro.os.paging import Prot
 
     saved = LazyUpdate.pre_call
 
     def _pre_call_skip_flush(self, regions, written=None):
         # The lazy-lost-update seeded bug: release drops dirty blocks.
         for region in regions:
-            self.manager.set_region_blocks(
-                region, BlockState.INVALID, Prot.NONE
-            )
+            self.manager.set_region_blocks(region, BlockState.INVALID)
 
     LazyUpdate.pre_call = _pre_call_skip_flush
     try:

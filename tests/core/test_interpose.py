@@ -172,13 +172,10 @@ class TestInstallUninstall:
         ptr = gmac.alloc(2 * PAGE_SIZE)
         gmac.interposer.uninstall()
         from repro.util.errors import IoError
-        from repro.os.paging import Prot
 
         # Make the region multi-fault for a plain read again.
         gmac.manager.set_region_blocks(
-            gmac.manager.region_at(int(ptr)),
-            BlockState.READ_ONLY,
-            Prot.READ,
+            gmac.manager.region_at(int(ptr)), BlockState.READ_ONLY
         )
         app.fs.create("in.bin", bytes(2 * PAGE_SIZE))
         with app.fs.open("in.bin") as handle:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.util.errors import GmacError, SegmentationFault
+from repro.util.errors import GmacError, ProtectionError, SegmentationFault
 from repro.util.units import KB
-from repro.os.paging import PAGE_SIZE, Prot
+from repro.os.paging import PAGE_SIZE, AccessKind, Prot
 from repro.core.blocks import BlockState
 
 
@@ -74,6 +74,15 @@ class TestSharedAddressSpace:
     def test_bad_size_rejected(self, gmac):
         with pytest.raises(GmacError):
             gmac.alloc(0)
+
+    def test_block_states_own_shared_protections(self, gmac):
+        ptr = gmac.alloc(PAGE_SIZE)
+        space = gmac.process.address_space
+        with pytest.raises(ProtectionError):
+            space.mprotect(int(ptr), PAGE_SIZE, Prot.RW)
+        # A fresh block is read-only: the refused call changed nothing.
+        assert space.check(int(ptr), 1, AccessKind.READ) is None
+        assert space.check(int(ptr), 1, AccessKind.WRITE) == int(ptr)
 
     def test_safe_alloc_not_aliased(self, gmac):
         ptr = gmac.safe_alloc(PAGE_SIZE)
@@ -172,6 +181,6 @@ class TestDataMovement:
         ptr = gmac.alloc(PAGE_SIZE)
         region = gmac.manager.region_at(int(ptr))
         gmac.layer.gpu.memory.write(region.device_start, b"from device")
-        gmac.manager.set_region_blocks(region, BlockState.INVALID, Prot.NONE)
+        gmac.manager.set_region_blocks(region, BlockState.INVALID)
         gmac.manager.ensure_host_canonical(region, region.interval)
         assert ptr.read_bytes(11) == b"from device"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.util.units import KB
-from repro.os.paging import PAGE_SIZE, Prot
+from repro.os.paging import PAGE_SIZE, AccessKind
 from repro.core.blocks import BlockState
 
 
@@ -22,8 +22,9 @@ class TestBatchUpdate:
         ptr = gmac.alloc(PAGE_SIZE)
         region = region_of(gmac, ptr)
         assert states(gmac, ptr) == [BlockState.DIRTY]
-        mapping = gmac.process.address_space.mapping_at(int(ptr))
-        assert mapping.prot_of(int(ptr)) == Prot.RW
+        space = gmac.process.address_space
+        assert space.check(int(ptr), 1, AccessKind.READ) is None
+        assert space.check(int(ptr), 1, AccessKind.WRITE) is None
 
     def test_no_faults_ever(self, app, gmac_factory, scale_kernel):
         gmac = gmac_factory("batch")

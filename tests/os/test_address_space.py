@@ -1,5 +1,6 @@
 """The simulated address space: mmap/munmap/mprotect and the software MMU."""
 
+import numpy as np
 import pytest
 
 from repro.util.errors import AddressError, AllocationError, ProtectionError
@@ -153,6 +154,58 @@ class TestMmuCheck:
     def test_bad_size_rejected(self, space):
         with pytest.raises(ValueError):
             space.check(0, 0, AccessKind.READ)
+
+
+class _BlockTableStub:
+    """Duck-typed block table: two-page blocks, code 0 takes no access,
+    code 1 takes reads, code 2 takes reads and writes."""
+
+    block_size = 2 * PAGE_SIZE
+    _ACCESS = {
+        AccessKind.READ: np.array([False, True, True]),
+        AccessKind.WRITE: np.array([False, False, True]),
+    }
+
+    def __init__(self, codes):
+        self.states = np.array(codes, dtype=np.uint8)
+
+    def access(self, kind):
+        return self._ACCESS[kind]
+
+
+class TestGuardedMapping:
+    """A mapping bound to a block table takes its protections from the
+    block states: no page bits, and ``mprotect`` is refused."""
+
+    @staticmethod
+    def _bound(space, codes):
+        mapping = space.mmap(len(codes) * _BlockTableStub.block_size)
+        mapping.guard = _BlockTableStub(codes)
+        return mapping
+
+    def test_fault_at_first_denied_block(self, space):
+        mapping = self._bound(space, [2, 1, 0])
+        start = mapping.start
+        read_fault = space.check(start, mapping.size, AccessKind.READ)
+        assert read_fault == start + 4 * PAGE_SIZE
+        write_fault = space.check(start + 100, 3 * PAGE_SIZE, AccessKind.WRITE)
+        assert write_fault == start + 2 * PAGE_SIZE
+        mid_block = start + 2 * PAGE_SIZE + 8
+        assert space.check(mid_block, 4, AccessKind.WRITE) == mid_block
+
+    def test_state_change_takes_effect_at_once(self, space):
+        mapping = self._bound(space, [0])
+        kind = AccessKind.READ
+        assert space.writable_prefix(mapping.start, PAGE_SIZE, kind) == 0
+        assert space.accessible_mapping(mapping.start, 8, kind) is None
+        mapping.guard.states[0] = 1
+        assert space.writable_prefix(mapping.start, PAGE_SIZE, kind) == PAGE_SIZE
+        assert space.accessible_mapping(mapping.start, 8, kind) is mapping
+
+    def test_mprotect_refused(self, space):
+        mapping = self._bound(space, [2])
+        with pytest.raises(ProtectionError):
+            space.mprotect(mapping.start, PAGE_SIZE, Prot.NONE)
 
 
 class TestPrivilegedAccess:
