@@ -34,9 +34,9 @@ general-purpose linter knows about:
 
 ``R005``
     No ``multiprocessing.Pool`` construction outside the worker-pool
-    engine (``experiments/pool.py``).  Ad-hoc pools
-    fork before the parent pre-warm, skip the persistent engine's
-    per-worker BLAS thread cap and crash supervision, and their sweeps
+    engine (``experiments/pool.py``).  Ad-hoc pools skip the persistent
+    engine's configuration-affine dispatch, per-worker BLAS thread cap
+    and crash supervision, and their sweeps
     never reach the result caches deterministically — all fan-out goes
     through :class:`~repro.experiments.executor.ExperimentExecutor`.
 

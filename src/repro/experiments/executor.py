@@ -9,13 +9,16 @@ independent :class:`~repro.experiments.spec.RunSpec` values (its
 2. **primes** the caches — warm specs short-circuit in the parent without
    touching a worker, and the rest execute inline (``jobs=1``) or on the
    worker-pool engine in :mod:`repro.experiments.pool` (``jobs > 1``):
-   workers forked once per executor lifetime after the parent pre-warm,
-   each running one BLAS thread and holding two specs dispatched
+   workers forked once per executor lifetime, each running one BLAS
+   thread and holding two specs.  The specs are ordered
    longest-expected-first (recorded timings from the result cache's
    metadata, falling back to the spec-declared
-   :meth:`RunSpec.cost_hint`), outcomes returned on each worker's own
-   pipe, crashed workers respawned with the spec they were executing
-   requeued exactly once;
+   :meth:`RunSpec.cost_hint`) and dealt by configuration: each worker
+   claims configurations in that order and runs their specs, building
+   their inputs and oracles itself (the parent builds none), and steals
+   only when nothing of its own is left.  Outcomes return on each
+   worker's own pipe; crashed workers are respawned with the spec they
+   were executing requeued exactly once;
 
 3. **merges deterministically** — outcomes commit to the caches as they
    land and the merge restores spec order at the end, so a pooled sweep
@@ -152,6 +155,9 @@ class ExperimentExecutor:
         """Dispatch ``missing`` on the persistent engine, streaming merge."""
         from repro.experiments.pool import StreamingMerge
 
+        # Order before the first prime forks the workers, which would
+        # compete with the parent for the CPUs.
+        pairs = self._cost_ordered(missing)
         engine = self._ensure_pool(missing)
         merge = StreamingMerge(missing, commit=common.commit)
         timings = {}
@@ -162,27 +168,23 @@ class ExperimentExecutor:
                 timings[missing[seq]] = host_s
             return first
 
-        engine.run(self._cost_ordered(missing), on_result)
+        engine.run(pairs, on_result)
         merge.ordered()  # every seq landed; order restored
         self._record_timings(timings)
 
     def _ensure_pool(self, missing):
         """The live persistent pool (workers fork once per executor)."""
         from repro.experiments.pool import (
-            PersistentWorkerPool, distinct_configs, rebuild_memoized_inputs,
+            PersistentWorkerPool, distinct_configs,
         )
 
         if self._pool is not None and not self._pool.started:
             self._pool = None
         if self._pool is None:
-            # Pre-warm only right before forking: live workers never see
-            # what the parent builds after they start.
-            configs = distinct_configs(missing)
-            rebuild_memoized_inputs(configs)
             self._pool = PersistentWorkerPool(
                 jobs=self.jobs, counters=self.counters,
             )
-            self._pool.start(configs=configs)
+            self._pool.start(configs=distinct_configs(missing))
         return self._pool
 
     # -- cost-aware scheduling ------------------------------------------------
@@ -197,12 +199,12 @@ class ExperimentExecutor:
         stable, so equal-cost specs keep spec order and the merge stays
         deterministic regardless.
         """
+        from repro.experiments.cache import ResultCache
+
         recorded = self.cache.timings() if self.cache is not None else {}
 
         def expected(spec):
             if recorded:
-                from repro.experiments.cache import ResultCache
-
                 seconds = recorded.get(ResultCache.timing_key(spec))
                 if seconds is not None:
                     # Recorded timings are host seconds; cost hints are

@@ -1,17 +1,21 @@
-"""Persistent worker pool: fork once, two specs in flight per worker.
+"""Persistent worker pool: fork once, deal specs by configuration.
 
 A one-shot ``multiprocessing.Pool.map`` would pay a fresh fork per sweep
 and wait forever once a worker dies.  This engine:
 
-* **forks workers once per executor lifetime** — after the parent has
-  pre-warmed the memoized workload inputs, so every worker inherits them
-  as copy-on-write pages and never regenerates an input array;
+* **forks workers once per executor lifetime** — from a parent that has
+  built no workload input or oracle: each worker builds what it runs;
+* **deals specs by configuration affinity** — the specs sharing one
+  ``(workload, params)`` configuration share its memoized inputs, oracle
+  and :class:`~repro.workloads.base.ValueMemo` entries, so the first
+  worker to claim a configuration runs all of its specs and builds those
+  once, in parallel with the other workers (:class:`AffinityQueue`);
+  a worker left with nothing of its own steals rather than idles;
 * **runs one BLAS thread per worker** — the workers fill the CPUs, so
   each caps OpenBLAS at ``max(1, CPUs // jobs)`` threads before its first
   BLAS call (:func:`cap_blas_threads`);
-* **keeps two specs in flight per worker** — the executor hands this
-  engine a cost-ordered ``(seq, spec)`` list (longest expected first); a
-  worker starts its next spec while the parent reads its last result;
+* **keeps two specs in flight per worker** — a worker starts its next
+  spec while the parent reads its last result;
 * **returns each outcome's pickle on the worker's own result pipe** —
   written synchronously from the worker's main thread, with no lock
   shared between processes.  A worker that dies mid-message tears only
@@ -21,19 +25,20 @@ and wait forever once a worker dies.  This engine:
   the queue's cross-process write lock blocked every later ``put``.)
 * **a supervisor respawns crashed workers** — reusing the watchdog/
   :class:`~repro.core.recovery.RecoveryPolicy` idiom of bounded retries:
-  a dead worker's in-flight specs are requeued at the front in order and
-  the one it was executing spends its *single* requeue; a second crash
-  on the same spec raises :class:`WorkerCrash` instead of looping.
+  a dead worker's in-flight specs go back, in order, to the front of
+  their configurations' queues, and the one it was executing spends its
+  *single* requeue; a second crash on the same spec raises
+  :class:`WorkerCrash` instead of looping.  The respawned worker keeps
+  its predecessor's claims.
 
 Results stream back in completion order; :class:`StreamingMerge` commits
 each one as it lands (the caches are keyed by spec, so commit order never
 changes cache content) and restores spec order at the end, keeping a
 pooled sweep byte-identical to a serial one.
 
-On spawn-only platforms (no ``fork``) the parent's memo caches are lost
-in children, so each worker rebuilds the distinct workload configurations
-once at startup (:func:`rebuild_memoized_inputs`) instead of silently
-recomputing them per spec.
+On spawn-only platforms (no ``fork``) each worker still builds every
+distinct workload configuration once at startup
+(:func:`rebuild_memoized_inputs`).
 """
 
 import collections
@@ -107,25 +112,23 @@ def cap_blas_threads(jobs):
         setter(max(1, len(os.sched_getaffinity(0)) // jobs))
 
 
+def config_of(spec):
+    """The ``(workload, params)`` configuration ``spec`` runs: the key its
+    memoized inputs, oracle and kernel evaluations are shared under."""
+    return spec.workload, spec.params
+
+
 def distinct_configs(specs):
-    """Ordered distinct ``(workload, params)`` pairs across ``specs``."""
-    configs = []
-    seen = set()
-    for spec in specs:
-        key = (spec.workload, spec.params)
-        if key not in seen:
-            seen.add(key)
-            configs.append(key)
-    return configs
+    """Ordered distinct configurations across ``specs``."""
+    return list(dict.fromkeys(config_of(spec) for spec in specs))
 
 
 def rebuild_memoized_inputs(configs):
     """Build memoized inputs/oracles for ``configs``; returns builds done.
 
-    In the parent this is the pre-fork warm-up (workers then inherit the
-    arrays as copy-on-write pages); in a spawned worker it is the
-    per-worker rebuild of the memo the child did not inherit.  A
-    configuration that fails to warm simply builds lazily on first use.
+    A spawned worker calls this at startup for every configuration of
+    the sweep.  A configuration that fails to build simply builds lazily
+    on first use.
     """
     from repro.experiments.spec import WORKLOAD_FACTORIES
 
@@ -240,12 +243,71 @@ class StreamingMerge:
         return list(self._outcomes)
 
 
+class AffinityQueue:
+    """Pending ``(seq, spec)`` pairs, grouped by configuration and dealt
+    by affinity.
+
+    The specs of one configuration share its memoized inputs, oracle and
+    kernel evaluations, which live in the process that built them.  A
+    worker with a free slot takes, in this order:
+
+    1. the next spec of a configuration it holds;
+    2. the first spec of the next unclaimed configuration, which it then
+       holds as its claimant (configurations rank by their first spec in
+       the given cost order);
+    3. the next spec of the configuration with the most pending specs — a
+       *steal* from another worker's claim, so that no worker idles while
+       specs wait.  The thief then holds that configuration too.
+
+    Claims are keyed by worker id, so a respawned worker keeps its
+    predecessor's.
+    """
+
+    def __init__(self, pairs):
+        self._queues = {}
+        for pair in pairs:
+            self._queues.setdefault(
+                config_of(pair[1]), collections.deque()).append(pair)
+        self._unclaimed = collections.deque(self._queues)
+        self._claimant = {}
+        self._held = collections.defaultdict(list)
+        self._pending = len(pairs)
+
+    def __len__(self):
+        return self._pending
+
+    def take(self, worker_id):
+        """``((seq, spec), stolen)`` for ``worker_id``; the queue must not
+        be empty.  ``stolen`` is true when another worker claimed the
+        spec's configuration."""
+        held = self._held[worker_id]
+        queues = self._queues
+        config = next((config for config in held if queues[config]), None)
+        if config is None:
+            if self._unclaimed:
+                config = self._unclaimed.popleft()
+                self._claimant[config] = worker_id
+            else:
+                config = max(queues, key=lambda other: len(queues[other]))
+            held.append(config)
+        self._pending -= 1
+        return queues[config].popleft(), self._claimant[config] != worker_id
+
+    def requeue(self, pairs):
+        """Put ``pairs`` back, in order, at the front of their
+        configurations' queues."""
+        for pair in reversed(pairs):
+            self._queues[config_of(pair[1])].appendleft(pair)
+        self._pending += len(pairs)
+
+
 class _Worker:
     """Parent-side record of one live worker."""
 
-    __slots__ = ("process", "tasks", "results", "inflight")
+    __slots__ = ("worker_id", "process", "tasks", "results", "inflight")
 
-    def __init__(self, process, tasks, results):
+    def __init__(self, worker_id, process, tasks, results):
+        self.worker_id = worker_id
         self.process = process
         self.tasks = tasks
         self.results = results
@@ -270,11 +332,11 @@ class PersistentWorkerPool:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self, configs=()):
-        """Fork the workers (idempotent).  Call after the parent pre-warm.
+        """Start the workers (idempotent).
 
         ``configs`` is the distinct ``(workload, params)`` list spawned
-        workers rebuild at startup; fork workers inherit the parent memo
-        and ignore it.
+        workers rebuild at startup; fork workers ignore it and build each
+        configuration they are dealt on first use.
         """
         if self.started:
             return
@@ -298,7 +360,8 @@ class PersistentWorkerPool:
         # Only the worker holds the write end, so its exit reads as EOF.
         results_end.close()
         self.counters.increment("workers_spawned")
-        self._workers[worker_id] = _Worker(process, tasks, results)
+        self._workers[worker_id] = _Worker(worker_id, process, tasks,
+                                          results)
 
     def close(self):
         """Shut the pool down; safe to call repeatedly."""
@@ -344,7 +407,8 @@ class PersistentWorkerPool:
     # -- the sweep -----------------------------------------------------------
 
     def run(self, pairs, on_result):
-        """Execute ``(seq, spec)`` pairs (already cost-ordered).
+        """Execute ``(seq, spec)`` pairs (already cost-ordered), dealt by
+        configuration affinity (:class:`AffinityQueue`).
 
         ``on_result(seq, outcome, host_s)`` fires in completion order and
         returns whether the deposit was the first for that seq (see
@@ -355,7 +419,7 @@ class PersistentWorkerPool:
         """
         if not self.started:
             raise RuntimeError("pool not started")
-        pending = collections.deque(pairs)
+        pending = AffinityQueue(pairs)
         requeued = set()
         landed = 0
         total = len(pairs)
@@ -418,7 +482,8 @@ class PersistentWorkerPool:
 
     def _fill_idle(self, pending):
         """Top every worker up to :data:`INFLIGHT_PER_WORKER` specs, one
-        round at a time, so the longest specs start on different workers."""
+        round at a time, so the first configurations go to different
+        workers."""
         for _ in range(INFLIGHT_PER_WORKER):
             for worker in self._workers.values():
                 if len(worker.inflight) < INFLIGHT_PER_WORKER:
@@ -426,10 +491,12 @@ class PersistentWorkerPool:
 
     def _assign_next(self, worker, pending):
         if pending and worker.process.is_alive():
-            pair = pending.popleft()
+            pair, stolen = pending.take(worker.worker_id)
             worker.inflight.append(pair)
             worker.tasks.put(pair)
             self.counters.increment("specs_dispatched")
+            if stolen:
+                self.counters.increment("specs_stolen")
 
     def _supervise(self, pending, requeued):
         """Respawn dead workers; requeue their in-flight specs in order.
@@ -459,6 +526,6 @@ class PersistentWorkerPool:
                     )
                 requeued.add(seq)
                 self.counters.increment("specs_requeued")
-                pending.extendleft(reversed(inflight))
+                pending.requeue(inflight)
             self._spawn(worker_id)
             self._fill_idle(pending)

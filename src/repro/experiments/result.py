@@ -9,6 +9,22 @@ from dataclasses import dataclass, field
 from repro.util.tables import render_table
 
 
+def commit_stamp(repo_root):
+    """The short commit hash of the checkout at ``repo_root``, suffixed
+    ``-dirty`` when its tracked files differ from that commit (a number
+    measured before committing then names no commit it did not run), or
+    ``"unknown"`` outside a git checkout."""
+    import subprocess as sp
+
+    try:
+        return sp.run(
+            ["git", "describe", "--always", "--dirty", "--exclude=*"],
+            capture_output=True, text=True, cwd=repo_root, check=True,
+        ).stdout.strip()
+    except (OSError, sp.CalledProcessError):
+        return "unknown"
+
+
 def environment_stamp():
     """Provenance for benchmark artifacts: commit, devices and scale.
 
@@ -17,16 +33,7 @@ def environment_stamp():
     measured under so a mismatch is visible in the artifact itself.  Both
     ``bench_hotpath`` and ``bench_executor`` stamp their JSON with this.
     """
-    import subprocess as sp
-
-    repo_root = pathlib.Path(__file__).resolve().parents[3]
-    try:
-        commit = sp.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, cwd=repo_root, check=True,
-        ).stdout.strip()
-    except (OSError, sp.CalledProcessError):
-        commit = "unknown"
+    commit = commit_stamp(pathlib.Path(__file__).resolve().parents[3])
     from repro.experiments.common import active_scale
     from repro.hw.specs import GTX280, OPTERON_2222, PCIE_2_0_X16
 

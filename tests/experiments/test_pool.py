@@ -5,8 +5,11 @@ The engine's contract:
 * a pooled sweep leaves the caches byte-identical (canonical form) to a
   serial one, for every worker completion order including
   crash-and-requeue;
-* workers fork once per executor lifetime, after the one parent
-  pre-warm, and a warm cache spawns none;
+* workers fork once per executor lifetime from a parent that builds no
+  workload input or oracle, and a warm cache spawns none;
+* every spec of a configuration runs on the worker that claimed it,
+  unless another worker with nothing of its own left steals it (counted
+  in ``specs_stolen``);
 * each worker runs ``max(1, CPUs // jobs)`` OpenBLAS threads;
 * a crashed worker is respawned and its in-flight specs requeued; the
   spec it was executing spends its one requeue — a spec that kills two
@@ -18,6 +21,7 @@ The engine's contract:
   cache key.
 """
 
+import collections
 import ctypes
 import multiprocessing
 import os
@@ -34,10 +38,11 @@ from repro.experiments import pool as pool_module
 from repro.experiments.cache import ResultCache
 from repro.experiments.executor import ExperimentExecutor, expand
 from repro.experiments.pool import (
-    PersistentWorkerPool, StreamingMerge, WorkerCrash, distinct_configs,
-    rebuild_memoized_inputs,
+    AffinityQueue, PersistentWorkerPool, StreamingMerge, WorkerCrash,
+    distinct_configs, rebuild_memoized_inputs,
 )
 from repro.experiments.spec import RunSpec, SpecOutcome, WORKLOAD_FACTORIES
+from repro.workloads import base as workload_base
 from repro.workloads.vecadd import VectorAdd
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -100,6 +105,40 @@ def _engine_run(pool, specs):
     return merge.ordered()
 
 
+def _pid_factory(report):
+    """A vecadd factory that appends ``<elements> <pid>`` to ``report``
+    each time a worker (not the parent) builds a workload."""
+    parent = os.getpid()
+
+    def build(elements=512, **_ignored):
+        if os.getpid() != parent:
+            fd = os.open(report, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            os.write(fd, f"{elements} {os.getpid()}\n".encode())
+            os.close(fd)
+        return VectorAdd(elements=elements)
+
+    return build
+
+
+def _pids_by_elements(report):
+    """``{elements: [pid per spec run]}`` from a :func:`_pid_factory`
+    report."""
+    found = collections.defaultdict(list)
+    for line in report.read_text().splitlines():
+        elements, pid = line.split()
+        found[int(elements)].append(int(pid))
+    return found
+
+
+def _probe_specs(elements):
+    """Three specs of one ``pidprobe`` configuration (one per protocol)."""
+    return [
+        RunSpec.make("pidprobe", params={"elements": elements},
+                     protocol=protocol, layer="driver")
+        for protocol in ("batch", "lazy", "rolling")
+    ]
+
+
 class TestEngine:
     @fork_only
     def test_outcomes_byte_identical_to_serial(self):
@@ -142,13 +181,9 @@ class TestEngine:
 
     @fork_only
     def test_workers_fork_once_across_primes(self, tmp_path, monkeypatch):
-        prewarms = []
-
-        def spy(configs):
-            prewarms.append(list(configs))
-            return rebuild_memoized_inputs(configs)
-
-        monkeypatch.setattr(pool_module, "rebuild_memoized_inputs", spy)
+        # Fresh memo tables, so anything the parent builds shows up here.
+        monkeypatch.setattr(workload_base, "_INPUT_CACHE", {})
+        monkeypatch.setattr(workload_base, "_REFERENCE_CACHE", {})
         common.clear_cache()
         executor = ExperimentExecutor(jobs=2, cache_dir=tmp_path)
         with executor.cache_context():
@@ -157,10 +192,59 @@ class TestEngine:
             executor.prime(_specs(3, base=4096))
         executor.close()
         common.clear_cache()
-        # The second prime reused the same live workers, which could not
-        # inherit a second pre-warm, so the parent built none.
+        # The second prime reused the same live workers, and the workers
+        # built every input and oracle: the parent built none.
         assert executor.counters.get("workers_spawned") == 2
-        assert len(prewarms) == 1
+        assert executor.stats["executed"] == 3
+        assert workload_base._INPUT_CACHE == {}
+        assert workload_base._REFERENCE_CACHE == {}
+
+    @fork_only
+    def test_each_configuration_runs_on_its_claimant(
+            self, tmp_path, monkeypatch):
+        report = tmp_path / "pids"
+        monkeypatch.setitem(WORKLOAD_FACTORIES, "pidprobe",
+                            _pid_factory(str(report)))
+        specs = _probe_specs(512) + _probe_specs(768)
+        serial = [spec.execute() for spec in specs]
+        with PersistentWorkerPool(jobs=2) as pool:
+            pool.start()
+            pooled = _engine_run(pool, specs)
+        assert _canonical(pooled) == _canonical(serial)
+        pids = _pids_by_elements(report)
+        assert sorted(pids) == [512, 768]
+        claimants = []
+        strays = 0
+        for ran_on in pids.values():
+            assert len(ran_on) == 3
+            claimant, runs = collections.Counter(ran_on).most_common(1)[0]
+            claimants.append(claimant)
+            strays += 3 - runs
+        # The two configurations went to different workers, and a spec
+        # ran away from its configuration's claimant only as a steal.
+        assert claimants[0] != claimants[1]
+        assert strays <= pool.counters.get("specs_stolen")
+
+    @fork_only
+    def test_idle_worker_steals_from_a_lone_configuration(
+            self, tmp_path, monkeypatch):
+        report = tmp_path / "pids"
+        monkeypatch.setitem(WORKLOAD_FACTORIES, "pidprobe",
+                            _pid_factory(str(report)))
+        specs = _probe_specs(512) + [
+            RunSpec.make("pidprobe", params={"elements": 512},
+                         mode=mode, layer="driver")
+            for mode in ("cuda", "cuda-db")
+        ]
+        serial = [spec.execute() for spec in specs]
+        with PersistentWorkerPool(jobs=2) as pool:
+            pool.start()
+            pooled = _engine_run(pool, specs)
+        assert _canonical(pooled) == _canonical(serial)
+        # One configuration, five specs, two workers: the second worker
+        # has nothing of its own, so it steals rather than idles.
+        assert pool.counters.get("specs_stolen") > 0
+        assert len(set(_pids_by_elements(report)[512])) == 2
 
     def test_warm_prime_spawns_no_workers(self, tmp_path):
         specs = _specs(3)
@@ -181,6 +265,46 @@ class TestEngine:
         assert warm.counters.get("warm_hits") == 3
 
 
+class TestAffinityQueue:
+    """The dealing rules, without processes."""
+
+    @staticmethod
+    def _config(elements, count):
+        return [
+            _vec_spec(elements) if index == 0 else RunSpec.make(
+                "vecadd", params={"elements": elements}, layer="driver",
+                protocol=("batch", "lazy")[index - 1])
+            for index in range(count)
+        ]
+
+    def test_claim_then_steal(self):
+        specs = self._config(512, 3) + self._config(768, 2) + [_vec_spec(1024)]
+        queue = AffinityQueue(list(enumerate(specs)))
+        dealt = [queue.take(worker) for worker in (0, 1, 0, 1, 1, 1)]
+        assert [(seq, stolen) for (seq, _), stolen in dealt] == [
+            (0, False),  # worker 0 claims the first configuration
+            (3, False),  # worker 1 claims the second
+            (1, False),
+            (4, False),
+            (5, False),  # worker 1 claims the last unclaimed one
+            (2, True),   # nothing unclaimed left: worker 1 steals
+        ]
+        assert len(queue) == 0
+
+    def test_requeue_keeps_order_and_claims(self):
+        specs = self._config(512, 3) + [_vec_spec(768)]
+        queue = AffinityQueue(list(enumerate(specs)))
+        inflight = [queue.take(0)[0], queue.take(0)[0]]
+        assert queue.take(1)[0][0] == 3
+        # Worker 0 died holding seqs 0 and 1: they go back in front, in
+        # order, and its respawn still holds their configuration.
+        queue.requeue(inflight)
+        assert len(queue) == 3
+        assert [queue.take(0) for _ in range(3)] == [
+            ((seq, specs[seq]), False) for seq in (0, 1, 2)
+        ]
+
+
 @pytest.mark.usefixtures("time_limit")
 class TestCrashRecovery:
     """The supervisor's bounded-retry ladder (RecoveryPolicy idiom)."""
@@ -191,8 +315,9 @@ class TestCrashRecovery:
 
         def build(elements=512, **_ignored):
             # Workers inherit this closure through fork.  The parent
-            # (pre-warm) and the respawned worker (marker exists) build
-            # normally; the first worker to get here dies mid-spec.
+            # (a serial reference run) and the respawned worker (marker
+            # exists) build normally; the first worker to get here dies
+            # mid-spec.
             if os.getpid() != parent and not os.path.exists(marker):
                 open(marker, "w").close()
                 os._exit(17)

@@ -1,8 +1,11 @@
-"""The ExperimentResult container."""
+"""The ExperimentResult container and the artifacts' commit stamp."""
+
+import shutil
+import subprocess
 
 import pytest
 
-from repro.experiments.result import ExperimentResult
+from repro.experiments.result import ExperimentResult, commit_stamp
 
 
 @pytest.fixture
@@ -64,3 +67,23 @@ class TestSerialization:
         assert rows[0] == ["benchmark", "value"]
         assert rows[1] == ["a", "1.5"]
         assert len(rows) == 3
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_commit_stamp_marks_a_dirty_tree(tmp_path):
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=stamp", "-c", "user.email=stamp@test",
+             *args],
+            cwd=tmp_path, check=True, capture_output=True, text=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    tracked = tmp_path / "tracked.txt"
+    tracked.write_text("measured\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "measured tree")
+    head = git("rev-parse", "--short", "HEAD")
+    assert commit_stamp(tmp_path) == head
+    tracked.write_text("edited after measuring\n")
+    assert commit_stamp(tmp_path) == f"{head}-dirty"
