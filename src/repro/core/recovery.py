@@ -301,7 +301,7 @@ class RecoveryPolicy:
             try:
                 completion = gmac._issue_call(kernel, written, args)
             except DeviceLostError as error:
-                self.recover_device_loss(error)
+                self._recover_device_losses(error)
             except LaunchError as error:
                 launch_failures += 1
                 if launch_failures > self.max_launch_retries:
@@ -425,6 +425,21 @@ class RecoveryPolicy:
             self._internal_done(monitor)
         self.stats["checkpoint_s"] += self._clock.now - start
 
+    def _recover_device_losses(self, error):
+        """Recover from ``error``, and from every loss during recovery.
+
+        Recovery flushes the host checkpoint onto survivors, and those
+        transfers run under the same escalation ladder: a survivor whose
+        link wedges is declared lost mid-recovery.  That loss is the next
+        rung, not a new failure mode, so it recovers the same way until
+        ``max_device_recoveries`` gives up.
+        """
+        while True:
+            try:
+                return self.recover_device_loss(error)
+            except DeviceLostError as next_error:
+                error = next_error
+
     def recover_device_loss(self, error):
         """Re-materialise the accelerator after a device-lost event.
 
@@ -500,8 +515,10 @@ class RecoveryPolicy:
             gmac.protocol.after_device_recovery(regions)
         finally:
             self._internal_done(monitor)
-        self.stats["rematerialize_s"] += self._clock.now - start
-        self._lost[device] = self._clock.now + self.readmit_after_s
+            # Also when a survivor is lost mid-flush: ``device`` stays
+            # dead to placement either way, so its quarantine starts.
+            self.stats["rematerialize_s"] += self._clock.now - start
+            self._lost[device] = self._clock.now + self.readmit_after_s
         if guard is not None:
             if self.watchdog.expired(guard):
                 self.watchdog.trip(guard, "abort-recovery")

@@ -173,7 +173,9 @@ def attempt(spec):
 
     Every executor shape runs specs through this, so one spec's
     :class:`RecoveryExhausted` cannot abort the rest of a sweep; any
-    other exception still propagates.
+    other exception still propagates.  The error is the detached form
+    :meth:`RunSpec.execute` raises, the same plain data the pool hands
+    back, so holding it keeps nothing of the run alive.
     """
     try:
         return spec.execute()

@@ -55,7 +55,13 @@ DEFAULT_DEVICES = 3
 #: the release flush inside the call window, where the escalation ladder's
 #: DeviceLostError is caught and failed over; its 4 ms transfer deadline
 #: expires during the exponential backoff well before the 8-retry budget,
-#: so the watchdog — not retry exhaustion — ends the wedge.
+#: so the watchdog — not retry exhaustion — ends the wedge.  That
+#: calibration holds at quick scale (1 MiB objects), where the burst's
+#: leftover faults retry cleanly during the failover.  At full scale each
+#: 8 MiB attempt takes milliseconds, so the failover's own flushes outlast
+#: the deadline too: each survivor is declared lost in turn, and recovery
+#: takes the next rung of the same ladder (on 3 devices two failovers,
+#: then the last device revives in place; 3 trips).
 SCENARIOS = (
     ("baseline", "rolling", None, None),
     ("device-lost", "rolling", dict(device_lost_at_launch=1), None),

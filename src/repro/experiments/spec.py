@@ -20,8 +20,10 @@ recovery statistics) but none of the live simulator objects.
 import copy
 import gc
 import json
+import weakref
 from dataclasses import dataclass, field, asdict
 
+from repro.util.errors import RecoveryExhausted
 from repro.workloads.parboil import PARBOIL
 from repro.workloads.vecadd import VectorAdd
 from repro.workloads.stencil3d import Stencil3D
@@ -194,7 +196,34 @@ class RunSpec:
         raise KeyError(f"unknown machine kind {self.machine!r}")
 
     def execute(self):
-        """Run this spec on a fresh machine; returns a :class:`SpecOutcome`."""
+        """Run this spec on a fresh machine; returns a :class:`SpecOutcome`.
+
+        The run's machine is freed by the time this returns.  Its object
+        graph is cyclic (signal handlers, observer hooks, protocol and
+        recovery back-pointers), so only a collection frees it, and one
+        that finds it still reachable promotes it to the old generation.
+        The run therefore happens in :meth:`_run`, whose frame has ended
+        before the young collection here.  A full collection, which walks
+        every memo cache, follows only when the machine survived the young
+        one (an automatic collection promoted part of it mid-run).
+
+        A recovery that gives up raises its
+        :class:`~repro.util.errors.RecoveryExhausted` detached, as a pool
+        worker hands it back, so the error pins nothing of the run.
+        """
+        outcome, machine = self._run()
+        gc.collect(1)
+        if machine() is not None:
+            gc.collect()
+        if isinstance(outcome, RecoveryExhausted):
+            raise outcome
+        return outcome
+
+    def _run(self):
+        """``(outcome, weak reference to the machine)`` of one run.
+
+        The outcome of a recovery that gave up is its detached error.
+        """
         machine = self._build_machine()
         plan = None
         if self.fault_plan is not None:
@@ -217,12 +246,15 @@ class RunSpec:
                 gmac_options["recovery"] = RecoveryPolicy(
                     **dict(self.recovery or ())
                 )
-        result = workload.execute(
-            mode=self.mode,
-            protocol=self.protocol,
-            machine=machine,
-            gmac_options=gmac_options,
-        )
+        try:
+            result = workload.execute(
+                mode=self.mode,
+                protocol=self.protocol,
+                machine=machine,
+                gmac_options=gmac_options,
+            )
+        except RecoveryExhausted as error:
+            return error.detached(), weakref.ref(machine)
         gmac = result.extra.get("gmac")
         recovery_stats = {}
         if gmac is not None and gmac.recovery is not None:
@@ -247,17 +279,7 @@ class RunSpec:
                 gmac.manager.peer_bytes if gmac is not None else 0
             ),
         )
-        # The run's object graph is cyclic (signal handlers, observer
-        # hooks, protocol back-pointers), so its tens of megabytes of
-        # backing buffers otherwise linger until a full garbage collection
-        # — and every subsequent run re-pays minor page faults for its
-        # whole working set.  Dropping the graph here and sweeping the
-        # young generations frees the buffers deterministically.  A full
-        # ``gc.collect()`` would walk the memo caches too and costs more
-        # than it saves.
-        del result, workload, gmac, machine, plan
-        gc.collect(1)
-        return outcome
+        return outcome, weakref.ref(machine)
 
     @staticmethod
     def _aggregate_link_bytes(machine):

@@ -152,6 +152,15 @@ class RecoveryExhausted(RetryExhaustedError):
     unpicklable) ``last_error`` chain and keeps only plain data.
     """
 
+    def detached(self):
+        """This error as plain data, the form a pool worker hands back.
+
+        Drops ``last_error``, the cause and context chain and the
+        traceback: a live chain pins the frames of the run that raised it,
+        and through them that run's whole simulated machine.
+        """
+        return _rebuild_recovery_exhausted(*self.__reduce__()[1])
+
     def __reduce__(self):
         return (
             _rebuild_recovery_exhausted,

@@ -159,6 +159,38 @@ class TestWatchdogEscalation:
         assert stats["failovers"] == 1
         assert np.allclose(data.read_array("f4", n), 2.0)
 
+    def test_loss_during_failover_fails_over_again(
+            self, multi_machine, multi_gmac_factory, scale_kernel):
+        # At 8 MiB each recovery flush is still inside the burst and
+        # outlasts its own 4 ms deadline, so each survivor is declared
+        # lost mid-recovery: the next rung of the same ladder.  Two
+        # failovers use up the survivors; the last device revives in
+        # place, and the burst is over by then.
+        multi_machine.install_faults(
+            FaultPlan(seed=17, transfer_burst=(1, 10))
+        )
+        gmac = multi_gmac_factory(
+            protocol="lazy",
+            recovery=RecoveryPolicy(transfer_deadline_s=4e-3),
+        )
+        data = gmac.alloc(8 * MB, name="data")
+        n = (8 * MB) // 4
+        data.write_array(np.arange(n, dtype=np.float32))
+        gmac.call(scale_kernel, data=data, n=n, factor=2.0)
+        gmac.sync()
+        stats = gmac.recovery.stats
+        assert [t["action"] for t in stats["watchdog_trips"]] == [
+            "declare-device-lost"] * 3
+        assert stats["failovers"] == 2
+        assert stats["device_recoveries"] == 3
+        # Both failed-over devices sit out a quarantine, readmittable
+        # later, although a loss cut each of their failovers short.
+        assert len(gmac.placement.dead) == 2
+        assert sorted(gmac.recovery._lost) == sorted(gmac.placement.dead)
+        assert data.region.owner not in gmac.placement.dead
+        expected = np.arange(n, dtype=np.float32) * np.float32(2.0)
+        assert np.array_equal(data.read_array("f4", n), expected)
+
     def test_salvage_pulls_device_only_blocks_home(
             self, multi_machine, multi_gmac_factory, scale_kernel):
         # Never fires: the plan only arms the recovery machinery.

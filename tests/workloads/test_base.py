@@ -5,7 +5,7 @@ import pytest
 
 from repro.util.errors import ReproError
 from repro.experiments.common import make_workload
-from repro.workloads.base import Workload, WorkloadResult
+from repro.workloads.base import ValueMemo, Workload, WorkloadResult
 from repro.workloads.vecadd import VectorAdd
 
 
@@ -124,3 +124,26 @@ class TestRepeatedExecution:
         workload = TestVerification.Lying()
         with pytest.raises(ReproError):
             workload.execute_stats(runs=1, mode="cuda")
+
+
+class TestValueMemoComparesBits:
+    """A hit needs the very same input bytes, not merely equal values."""
+
+    @staticmethod
+    def _memo(inputs):
+        memo = ValueMemo()
+        outputs = (np.array([1.0], dtype=np.float32),)
+        memo.store("k", inputs, outputs)
+        return memo, outputs
+
+    def test_negative_zero_misses_a_positive_zero_entry(self):
+        memo, _ = self._memo((np.zeros(64, dtype=np.float32),))
+        given = np.zeros(64, dtype=np.float32)
+        given[1] = -0.0  # between the fingerprint's samples
+        assert np.array_equal(given, np.zeros(64, dtype=np.float32))
+        assert memo.lookup("k", (given,)) is None
+
+    def test_nan_input_hits_its_own_entry(self):
+        inputs = (np.array([1.0, np.nan, 3.0], dtype=np.complex64),)
+        memo, outputs = self._memo(inputs)
+        assert memo.lookup("k", (inputs[0].copy(),)) is outputs
