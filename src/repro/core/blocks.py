@@ -119,12 +119,6 @@ class BlockTable:
         """
         return self.manager.protocol.access[kind]
 
-    def state_of(self, index):
-        return CODE_STATES[self.states[index]]
-
-    def set_state(self, index, state):
-        self.states[index] = state.code
-
     def fill(self, state):
         """Vectorized whole-table transition."""
         self.states[:] = state.code
@@ -143,9 +137,6 @@ class BlockTable:
     def indices_not_in(self, state):
         """Ascending indices whose state differs from ``state``."""
         return np.flatnonzero(self.states != state.code)
-
-    def count_in(self, state):
-        return int(np.count_nonzero(self.states == state.code))
 
 
 def index_runs(indices):
@@ -168,17 +159,15 @@ def index_runs(indices):
 class Block:
     """One coherence unit of a shared region — a façade over a table slot.
 
-    State reads/writes delegate to the region's :class:`BlockTable`, so a
+    State reads delegate to the region's :class:`BlockTable`, so a
     façade is never stale; two façades for the same slot compare equal.
     """
 
     __slots__ = ("region", "index")
 
-    def __init__(self, region, index, interval=None, state=None):
+    def __init__(self, region, index):
         self.region = region
         self.index = index
-        if state is not None:
-            region.table.set_state(index, state)
 
     @property
     def interval(self):
@@ -190,10 +179,6 @@ class Block:
     @property
     def state(self):
         return CODE_STATES[self.region.table.states[self.index]]
-
-    @state.setter
-    def state(self, value):
-        self.region.table.states[self.index] = value.code
 
     @property
     def host_start(self):
@@ -217,9 +202,6 @@ class Block:
             and other.region is self.region
             and other.index == self.index
         )
-
-    def __hash__(self):
-        return hash((id(self.region), self.index))
 
     def __repr__(self):
         return (

@@ -51,10 +51,6 @@ class AcceleratorLayer:
         )
         self._initialized = flavour == "driver"
 
-    @property
-    def gpu(self):
-        return self.driver.gpu
-
     def context_for(self, owner):
         """The driver context owning device ``owner`` (None = primary)."""
         if owner is None:
@@ -123,19 +119,6 @@ class AcceleratorLayer:
             return self.context_for(owner).launch(
                 kernel, args, earliest=earliest
             )
-
-    def synchronize(self):
-        """Drain the GPU/link timelines (virtual time only).
-
-        Deferred kernel numerics survive a synchronize — adsmSync observes
-        completions, not device bytes.  They replay on the next byte
-        access (a coherence fetch, a DMA, a memset, or a kernel view).
-        """
-        now = self.driver.synchronize()
-        for context in self.contexts:
-            if context is not self.driver and context.alive:
-                now = context.synchronize()
-        return now
 
     def materialize_numerics(self):
         """Force pending deferred kernel numerics to execute now.

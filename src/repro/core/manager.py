@@ -25,9 +25,7 @@ from repro.hw.interconnect import Direction
 from repro.hw.memory import ledger_bind, ledger_release, ledger_unbind
 from repro.util.avltree import AvlTree
 from repro.sim.tracing import Category, CoherenceEvent
-from repro.core.blocks import (
-    Block, BlockState, DIRTY_CODE, INVALID_CODE, index_runs,
-)
+from repro.core.blocks import BlockState, DIRTY_CODE, INVALID_CODE, index_runs
 from repro.core.region import SharedRegion
 from repro.core.costs import GmacCostModel
 
@@ -135,7 +133,7 @@ class Manager:
             mapping.guard = table
             self._regions.add(region.interval, region)
             for index in range(table.n_blocks):
-                self._cost_tree.insert(table.start_of(index), None)
+                self._cost_tree.insert(table.start_of(index))
             self._steps_epoch += 1
             self.clock.advance(self.costs.block_setup_s * table.n_blocks)
             self.note_coherence(
@@ -212,10 +210,6 @@ class Manager:
 
     def region_at(self, host_address):
         found = self._regions.find(host_address)
-        return found[1] if found else None
-
-    def region_starting_at(self, host_start):
-        found = self._regions.find_exact(host_start)
         return found[1] if found else None
 
     def translate(self, host_address):
@@ -661,10 +655,3 @@ class Manager:
     def acquire_after_return(self):
         """Re-acquire shared objects for the CPU after kernel return."""
         self.protocol.post_sync(self.regions())
-
-    def reset_counters(self):
-        self.bytes_to_accelerator = 0
-        self.bytes_to_host = 0
-        self.eager_bytes_to_accelerator = 0
-        self.peer_bytes = 0
-        self.fault_count = 0

@@ -10,10 +10,12 @@ All decisions are deterministic functions of allocation order and device
 state — no wall clock, no RNG — so multi-device runs replay identically.
 """
 
+import abc
+
 from repro.util.errors import GmacError
 
 
-class PlacementPolicy:
+class PlacementPolicy(abc.ABC):
     """Chooses owning devices for new regions and failover survivors."""
 
     name = "abstract"
@@ -54,8 +56,9 @@ class PlacementPolicy:
             return None
         return self._choose(candidates, size)
 
+    @abc.abstractmethod
     def _choose(self, candidates, size):
-        raise NotImplementedError
+        """The device, among ``candidates``, for a ``size``-byte region."""
 
 
 class RoundRobin(PlacementPolicy):
@@ -73,20 +76,6 @@ class RoundRobin(PlacementPolicy):
         return choice
 
 
-class CapacityAware(PlacementPolicy):
-    """Place on the device with the most free memory (ties: lowest index)."""
-
-    name = "capacity"
-
-    def _choose(self, candidates, size):
-        return max(
-            candidates,
-            key=lambda index: (self.machine.gpus[index].memory.bytes_free,
-                               -index),
-        )
-
-
 PLACEMENTS = {
     RoundRobin.name: RoundRobin,
-    CapacityAware.name: CapacityAware,
 }

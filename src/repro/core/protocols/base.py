@@ -79,11 +79,6 @@ class Protocol(abc.ABC):
     #: refetching, so batch-update opts out.
     supports_device_bulk = True
 
-    def demote_clean(self, block):
-        """A dirty block was flushed outside the call boundary: both copies
-        now match, so it becomes read-only."""
-        self.manager.set_block(block, BlockState.READ_ONLY)
-
     def demote_clean_range(self, blocks):
         """A contiguous run of flushed dirty blocks demotes together: one
         charged range mprotect instead of one per block."""
@@ -93,11 +88,6 @@ class Protocol(abc.ABC):
         """Drop the host copy of one block: the device copy just became
         canonical (after a device-side memset/memcpy)."""
         self.manager.set_block(block, BlockState.INVALID)
-
-    def invalidate_region(self, region):
-        """Discard the host copy of a region (used by bulk-op interposition
-        after device-side memset/memcpy made the accelerator canonical)."""
-        self.manager.set_region_blocks(region, BlockState.INVALID)
 
     # -- fault recovery hooks (see repro.core.recovery) --------------------------
 

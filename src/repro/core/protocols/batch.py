@@ -59,13 +59,6 @@ class BatchUpdate(Protocol):
                 self.manager.fetch_index(region, index)
             self.manager.set_states_only(region, BlockState.DIRTY)
 
-    def invalidate_region(self, region):
-        # Without fault detection the host copy must be refreshed eagerly.
-        table = region.table
-        for index in range(table.n_blocks):
-            self.manager.fetch_index(region, index)
-        self.manager.set_states_only(region, BlockState.DIRTY)
-
     def after_device_recovery(self, regions):
         # Batch runs unprotected with host copies always writable; the
         # recovery flush made both sides match, so DIRTY is the resting

@@ -26,7 +26,7 @@ from collections import deque
 from repro.util.units import KB
 from repro.sim.tracing import Category
 from repro.os.paging import AccessKind, PAGE_SIZE, page_ceil
-from repro.core.blocks import BlockState, INVALID_CODE, index_runs
+from repro.core.blocks import BlockState, index_runs
 from repro.core.protocols.base import Protocol
 
 #: Default memory-block size.  Figure 11 finds the PCIe bandwidth sweet
@@ -183,10 +183,6 @@ class RollingUpdate(Protocol):
             bits[block.index] = False
             self._dirty.remove(block)
 
-    def demote_clean(self, block):
-        self._unqueue(block)
-        super().demote_clean(block)
-
     def demote_clean_range(self, blocks):
         for block in blocks:
             self._unqueue(block)
@@ -195,10 +191,6 @@ class RollingUpdate(Protocol):
     def discard_block(self, block):
         self._unqueue(block)
         super().discard_block(block)
-
-    def invalidate_region(self, region):
-        self.on_free(region)  # drop cache entries; states reset below
-        super().invalidate_region(region)
 
     # -- fault recovery hooks ---------------------------------------------------
 

@@ -114,7 +114,6 @@ class RecoveryPolicy:
         if getattr(gmac.machine, "multi_device", False):
             self.watchdog = Watchdog(
                 gmac.machine.clock,
-                accounting=gmac.machine.accounting,
                 on_trip=self.stats["watchdog_trips"].append,
             )
         return self

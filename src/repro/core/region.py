@@ -11,7 +11,7 @@ addresses, and ``adsmSafe()`` performs the translation.
 
 from repro.util.intervals import Interval
 from repro.os.paging import page_ceil
-from repro.core.blocks import Block, BlockTable, CODE_STATES
+from repro.core.blocks import Block, BlockTable
 
 
 class SharedRegion:
@@ -74,10 +74,6 @@ class SharedRegion:
         return self._blocks
 
     @property
-    def n_blocks(self):
-        return self.table.n_blocks
-
-    @property
     def is_aliased(self):
         """True when host and device use the same numeric addresses."""
         return self.host_start == self.device_start
@@ -89,15 +85,6 @@ class SharedRegion:
                 f"address {host_address:#x} not inside region {self.name}"
             )
         return self.device_start + (host_address - self.host_start)
-
-    def block_containing(self, host_address):
-        """The block holding ``host_address`` (regions are contiguous)."""
-        index = self.table.index_of(host_address)
-        if index < 0 or index >= self.table.n_blocks:
-            raise ValueError(
-                f"address {host_address:#x} not inside region {self.name}"
-            )
-        return self.blocks[index]
 
     def block_range(self, interval):
         """Inclusive (first, last) block indices under ``interval``, or
@@ -114,13 +101,6 @@ class SharedRegion:
             return []
         first, last = indices
         return self.blocks[first:last + 1]
-
-    def blocks_in_state(self, state):
-        blocks = self.blocks
-        return [blocks[int(i)] for i in self.table.indices_in(state)]
-
-    def set_all_states(self, state):
-        self.table.fill(state)
 
     def __repr__(self):
         return (

@@ -10,12 +10,8 @@ timers, so a supervised run replays identically.
 The escalation ladder itself lives in
 :class:`~repro.core.recovery.RecoveryPolicy` (retry with backoff →
 re-route via host → declare the device lost); the watchdog only answers
-"has this operation exceeded its budget?" and records every trip.  Time
-spent waiting out a deadline is charged to the ``Retry`` category, like
-all other recovery overhead.
+"has this operation exceeded its budget?" and records every trip.
 """
-
-from repro.sim.tracing import Category
 
 
 class Deadline:
@@ -30,10 +26,6 @@ class Deadline:
         self.expires_at = expires_at
         self.armed = True
 
-    @property
-    def budget_s(self):
-        return self.expires_at - self.armed_at
-
     def __repr__(self):
         state = "armed" if self.armed else "disarmed"
         return (
@@ -45,9 +37,8 @@ class Deadline:
 class Watchdog:
     """Arms, checks and records virtual-time deadlines."""
 
-    def __init__(self, clock, accounting=None, on_trip=None):
+    def __init__(self, clock, on_trip=None):
         self.clock = clock
-        self.accounting = accounting
         self.on_trip = on_trip
         #: Every escalation, in trip order: dicts with kind/label/armed_at/
         #: expires_at/tripped_at/action.  Chaos reports surface these.
@@ -69,25 +60,6 @@ class Watchdog:
     def expired(self, deadline):
         """True when the armed deadline's budget has elapsed."""
         return deadline.armed and self.clock.now >= deadline.expires_at
-
-    def wait_out(self, deadline):
-        """Advance the clock to the deadline's expiry, charged as Retry.
-
-        Used when escalation must not act early (the invariant
-        :meth:`trip` enforces) but the supervised operation is already
-        known dead — e.g. declaring a wedged transfer's device lost.
-        """
-        remaining = deadline.expires_at - self.clock.now
-        if remaining > 0:
-            self.accounting_charge(remaining)
-            self.clock.advance(remaining)
-        return self.clock.now
-
-    def accounting_charge(self, duration):
-        if self.accounting is not None:
-            self.accounting.charge(
-                Category.RETRY, duration, label="watchdog-wait"
-            )
 
     def trip(self, deadline, action):
         """Record an escalation.  Never legal before the deadline expires.

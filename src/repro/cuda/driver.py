@@ -25,45 +25,6 @@ from repro.hw.interconnect import Direction
 from repro.hw import memory as device_memory
 
 
-class Event:
-    """A CUDA-style timing event.
-
-    Recording an event into a stream captures the virtual time at which
-    the stream's work issued so far will have completed; applications use
-    pairs of events to time GPU-side phases without blocking the CPU
-    (the standard cudaEventRecord / cudaEventElapsedTime pattern).
-    """
-
-    def __init__(self, name="event"):
-        self.name = name
-        self.timestamp = None
-
-    @property
-    def recorded(self):
-        return self.timestamp is not None
-
-    def record(self, clock, stream=None):
-        """Capture the completion time of work issued so far."""
-        if stream is not None and stream.earliest_next is not None:
-            self.timestamp = stream.earliest_next
-        else:
-            self.timestamp = clock.now
-        return self.timestamp
-
-    def synchronize(self, clock):
-        """Block the CPU until the event's captured point in time."""
-        if not self.recorded:
-            raise CudaError(f"event {self.name!r} was never recorded")
-        clock.advance_to(self.timestamp)
-        return clock.now
-
-    def elapsed_since(self, earlier):
-        """Milliseconds between two recorded events (cudaEventElapsedTime)."""
-        if not self.recorded or not earlier.recorded:
-            raise CudaError("both events must be recorded")
-        return (self.timestamp - earlier.timestamp) * 1e3
-
-
 class Stream:
     """An in-order work queue: each operation starts after the previous."""
 
@@ -78,11 +39,6 @@ class Stream:
     @property
     def earliest_next(self):
         return self.last.finish if self.last is not None else None
-
-    def synchronize(self, clock):
-        if self.last is not None:
-            clock.advance_to(self.last.finish)
-        return clock.now
 
 
 class DriverContext:

@@ -58,12 +58,6 @@ class CudaRuntime:
             self._call_overhead()
             return self.driver.mem_alloc(size)
 
-    def cuda_free(self, address):
-        self._ensure_initialized()
-        with self.accounting.measure(Category.CUDA_FREE, label="cudaFree"):
-            self._call_overhead()
-            self.driver.mem_free(address)
-
     # -- transfers ---------------------------------------------------------------
 
     def cuda_memcpy_h2d(self, device, host, size):
@@ -84,13 +78,6 @@ class CudaRuntime:
         self._call_overhead()
         return self.driver.memcpy_h2d(
             device, int(host), size, stream=stream, sync=False
-        )
-
-    def cuda_memcpy_d2h_async(self, host, device, size, stream):
-        self._ensure_initialized()
-        self._call_overhead()
-        return self.driver.memcpy_d2h(
-            int(host), device, size, stream=stream, sync=False
         )
 
     def cuda_memset(self, device, value, size):
@@ -128,8 +115,3 @@ class CudaRuntime:
         self.accounting.charge(Category.GPU, waited, label="sync-wait")
         self._pending_kernels.clear()
         return waited
-
-    @property
-    def pending_numerics(self):
-        """Launches whose deferred numerics have not yet executed."""
-        return self.driver.gpu.pending_numerics

@@ -204,24 +204,3 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-    def expected_cost(self, spec):
-        """The last recorded host-seconds for ``spec``, or None."""
-        return self.timings().get(self.timing_key(spec))
-
-    def clear(self):
-        """Remove every cache entry (stale fingerprints included)."""
-        removed = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.pkl"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def __len__(self):
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.pkl"))

@@ -20,7 +20,7 @@ import contextlib
 import os
 
 from repro.util.errors import RecoveryExhausted
-from repro.util.units import KB, MB
+from repro.util.units import MB
 from repro.workloads.parboil import PARBOIL
 from repro.experiments.spec import RunSpec
 
@@ -121,12 +121,6 @@ def persistent_cache():
 
             _persistent = ResultCache()
     return _persistent
-
-
-def set_persistent_cache(cache):
-    """Install ``cache`` (a ResultCache or None to disable) process-wide."""
-    global _persistent
-    _persistent = cache
 
 
 @contextlib.contextmanager

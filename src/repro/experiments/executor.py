@@ -119,10 +119,10 @@ class ExperimentExecutor:
     def prime(self, specs):
         """Ensure every spec's outcome is in the caches; returns stats.
 
-        Call inside :meth:`cache_context` (the run/run_many entry points
-        do).  Outcomes land streaming but the merge restores spec order,
-        so the resulting cache state is independent of worker scheduling
-        and of the job count.
+        Call inside :meth:`cache_context` (:meth:`run` does).  Outcomes
+        land streaming but the merge restores spec order, so the resulting
+        cache state is independent of worker scheduling and of the job
+        count.
         """
         missing = [spec for spec in specs if common.peek(spec) is None]
         # Cache-aware dispatch: warm specs never reach a worker.
@@ -236,12 +236,3 @@ class ExperimentExecutor:
         with self.cache_context():
             self.prime(expand([experiment_id], quick=quick))
             return run_experiment(experiment_id, quick=quick)
-
-    def run_many(self, experiment_ids, quick=False):
-        """Prime the union of sweeps, then run each experiment in order."""
-        with self.cache_context():
-            self.prime(expand(experiment_ids, quick=quick))
-            return [
-                (experiment_id, run_experiment(experiment_id, quick=quick))
-                for experiment_id in experiment_ids
-            ]

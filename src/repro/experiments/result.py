@@ -1,7 +1,5 @@
 """The common result type every experiment returns, plus artifact stamps."""
 
-import csv
-import io
 import json
 import pathlib
 from dataclasses import dataclass, field
@@ -110,24 +108,3 @@ class ExperimentResult:
             },
             indent=2,
         )
-
-    @classmethod
-    def from_json(cls, text):
-        """Inverse of :meth:`to_json` (notes and table only)."""
-        data = json.loads(text)
-        return cls(
-            experiment_id=data["experiment_id"],
-            title=data["title"],
-            paper_claim=data["paper_claim"],
-            headers=data["headers"],
-            rows=data["rows"],
-            notes=data.get("notes", []),
-        )
-
-    def to_csv(self):
-        """The table as CSV text (headers + rows, no metadata)."""
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(self.headers)
-        writer.writerows(self.rows)
-        return out.getvalue()

@@ -319,12 +319,6 @@ class SpecOutcome:
     link_bytes_moved: dict = field(default_factory=dict)
     peer_bytes: int = 0
 
-    @property
-    def label(self):
-        if self.mode != "gmac":
-            return self.mode.upper()
-        return f"GMAC {self.protocol}"
-
     def canonical_bytes(self):
         """Deterministic serialization for byte-identity comparisons.
 

@@ -11,8 +11,8 @@ from a per-site ``random.Random`` stream seeded from ``(seed, site)``, so
 The plan only *decides*; the layers raise the typed errors
 (:class:`~repro.util.errors.TransferError`,
 :class:`~repro.util.errors.LaunchError`, ...) and the recovery machinery
-in :mod:`repro.core.recovery` reacts.  With :meth:`FaultPlan.none` (or no
-plan installed at all) every injection point is a zero-cost no-op: not
+in :mod:`repro.core.recovery` reacts.  With a default ``FaultPlan()`` (or
+no plan installed at all) every injection point is a zero-cost no-op: not
 even the RNG streams are advanced, so fault-free runs are byte-identical
 to a build without the hooks.
 
@@ -124,11 +124,6 @@ class FaultPlan:
         self.transfer_attempt_total = 0
         self.device_losses = 0
 
-    @classmethod
-    def none(cls, seed=0):
-        """A plan that injects nothing (all injection points stay no-ops)."""
-        return cls(seed=seed)
-
     @property
     def enabled(self):
         """False when no fault can ever fire; layers then skip all hooks."""
@@ -208,13 +203,6 @@ class FaultPlan:
     @property
     def injected_total(self):
         return sum(self.injected.values())
-
-    def summary(self):
-        """Per-site ``injected/attempts`` counts (for experiment tables)."""
-        return {
-            site: (self.injected[site], self.attempts[site])
-            for site in SITES
-        }
 
     def __repr__(self):
         parts = [f"seed={self.seed}"]

@@ -1,10 +1,10 @@
 """The CPU cost model.
 
 Workloads run their control code in real Python but charge virtual time
-for the work the *modelled* CPU would do: ``compute(instructions)`` for
-arithmetic phases and ``touch(nbytes)`` for memory-streaming phases.  The
-costs advance the shared clock directly, so CPU phases naturally overlap
-with any in-flight asynchronous DMA or kernel execution.
+for the work the *modelled* CPU would do: ``stream(nbytes, rate)`` for
+producing or consuming data.  The costs advance the shared clock
+directly, so CPU phases naturally overlap with any in-flight asynchronous
+DMA or kernel execution.
 """
 
 from repro.sim.tracing import Category
@@ -17,24 +17,7 @@ class Cpu:
         self.spec = spec
         self.clock = clock
         self.accounting = accounting
-        self.instructions_retired = 0
         self.bytes_touched = 0
-
-    def _charge(self, seconds, label):
-        self.clock.advance(seconds)
-        if self.accounting is not None:
-            self.accounting.charge(Category.CPU, seconds, label=label)
-        return seconds
-
-    def compute(self, instructions, label="compute"):
-        """Charge time for an arithmetic phase of ``instructions`` ops."""
-        self.instructions_retired += instructions
-        return self._charge(self.spec.compute_seconds(instructions), label)
-
-    def touch(self, nbytes, label="touch"):
-        """Charge time for streaming ``nbytes`` through the CPU."""
-        self.bytes_touched += nbytes
-        return self._charge(self.spec.touch_seconds(nbytes), label)
 
     def stream(self, nbytes, bytes_per_s, label="stream"):
         """Charge time for producing/consuming ``nbytes`` at a custom rate.
@@ -46,10 +29,8 @@ class Cpu:
         if bytes_per_s <= 0:
             raise ValueError(f"stream rate must be positive, got {bytes_per_s}")
         self.bytes_touched += nbytes
-        return self._charge(nbytes / bytes_per_s, label)
-
-    def busy(self, seconds, label="busy"):
-        """Charge an explicit duration (e.g. a fixed-cost phase)."""
-        if seconds < 0:
-            raise ValueError(f"negative busy time {seconds}")
-        return self._charge(seconds, label)
+        seconds = nbytes / bytes_per_s
+        self.clock.advance(seconds)
+        if self.accounting is not None:
+            self.accounting.charge(Category.CPU, seconds, label=label)
+        return seconds

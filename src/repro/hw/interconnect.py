@@ -103,31 +103,8 @@ class Link:
         self.faulted_count[direction] += 1
         return self._resources[direction].schedule(duration, label=label)
 
-    def transfer_sync(self, size, direction, label="dma", earliest=None):
-        """Schedule a DMA and block until it completes."""
-        completion = self.transfer(size, direction, label=label, earliest=earliest)
-        completion.wait()
-        return completion
-
     def drain(self):
         """Wait for all in-flight transfers in both directions."""
         for resource in self._resources.values():
             resource.drain()
         return self.clock.now
-
-    def pending_until(self):
-        """The timestamp when the last queued transfer will finish."""
-        return max(r.available_at for r in self._resources.values())
-
-    def effective_bandwidth(self, size, direction):
-        """Measured-style effective bandwidth for one transfer of ``size``."""
-        return self.spec.effective_bandwidth(
-            size, d2h=direction is Direction.D2H
-        )
-
-    def reset_counters(self):
-        self.bytes_moved = {Direction.H2D: 0, Direction.D2H: 0}
-        self.transfer_count = {Direction.H2D: 0, Direction.D2H: 0}
-        self.faulted_bytes = {Direction.H2D: 0, Direction.D2H: 0}
-        self.faulted_count = {Direction.H2D: 0, Direction.D2H: 0}
-        self.deferred_bytes = {Direction.H2D: 0, Direction.D2H: 0}

@@ -128,13 +128,6 @@ class Machine:
         self.disk.faults = plan
         return plan
 
-    def elapsed(self):
-        return self.clock.now
-
-    def reset_transfer_counters(self):
-        for link in self.links:
-            link.reset_counters()
-
 
 def reference_system(trace=False, gpu_count=1, defer_numerics=None,
                      defer_transfers=None):

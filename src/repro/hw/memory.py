@@ -514,11 +514,6 @@ class DeviceMemory:
     def bytes_free(self):
         return sum(hole.size for hole in self._free)
 
-    def allocation_at(self, address):
-        """The Interval of the allocation containing ``address``, or None."""
-        found = self._find(address)
-        return found.interval if found is not None else None
-
     def _find(self, address):
         index = bisect.bisect_right(self._alloc_starts, address)
         if index == 0:

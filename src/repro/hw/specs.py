@@ -80,11 +80,6 @@ class CpuSpec:
     ipc: float
     touch_bytes_per_s: float
 
-    def compute_seconds(self, instructions):
-        if instructions < 0:
-            raise ValueError(f"negative instruction count {instructions}")
-        return instructions / (self.clock_hz * self.ipc)
-
     def touch_seconds(self, nbytes):
         if nbytes < 0:
             raise ValueError(f"negative byte count {nbytes}")

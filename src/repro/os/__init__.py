@@ -17,7 +17,7 @@ faults, so this package simulates those services byte- and event-accurately
   interposition table GMAC overloads (Section 4.4 of the paper).
 """
 
-from repro.os.paging import PAGE_SIZE, Prot, AccessKind, page_floor, page_ceil
+from repro.os.paging import PAGE_SIZE, Prot, AccessKind, page_ceil
 from repro.os.address_space import AddressSpace, Mapping
 from repro.os.signals import SegvInfo, SignalDispatcher
 from repro.os.process import Process, Ptr
@@ -28,7 +28,6 @@ __all__ = [
     "PAGE_SIZE",
     "Prot",
     "AccessKind",
-    "page_floor",
     "page_ceil",
     "AddressSpace",
     "Mapping",

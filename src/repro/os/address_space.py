@@ -143,12 +143,6 @@ class AddressSpace:
         #: invalidate it; removing one clears it.
         self._last_mapping = None
 
-    def __len__(self):
-        return len(self._mappings)
-
-    def mappings(self):
-        return self._mappings.values()
-
     # -- mmap / munmap / mprotect -------------------------------------------
 
     def mmap(self, size, prot=Prot.RW, fixed_address=None):
@@ -346,17 +340,3 @@ class AddressSpace:
         if plane is not None:
             plane.host_write(address - mapping.start, size)
         mapping.slice_at(address, size)[:] = value & 0xFF
-
-    def view(self, address, dtype, count):
-        """Writable numpy view (privileged; used by oracles and the library)."""
-        dtype = np.dtype(dtype)
-        size = dtype.itemsize * count
-        mapping = self._require_mapped(address, size)
-        plane = mapping.plane
-        if plane is not None:
-            # The view is writable and escapes: fold pending entries in
-            # (read) and mark the range dirty (write), conservatively.
-            lo = address - mapping.start
-            plane.host_read(lo, size)
-            plane.host_write(lo, size)
-        return mapping.slice_at(address, size).view(dtype)

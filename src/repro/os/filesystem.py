@@ -8,19 +8,8 @@ break-down and gives large sequential dumps their bandwidth advantage
 (the Figure 9 volume-write effect).
 """
 
-import numpy as np
-
 from repro.util.buffers import as_byte_view
 from repro.util.errors import IoError
-
-#: Memoized outputs of :meth:`FileSystem.create_random`, keyed by the value
-#: parameters (not the path).  The generated contents are a pure function of
-#: (size, seed, dtype), and an experiment sweep regenerates identical input
-#: files for every spec.  The cached array is read-only and shared; the
-#: *file* gets a fresh mutable bytearray copy per call, so per-machine file
-#: contents stay independently writable.
-_RANDOM_FILE_CACHE = {}
-_RANDOM_FILE_CACHE_MAX = 64
 
 
 class FileHandle:
@@ -75,7 +64,8 @@ class FileHandle:
         buffer = self.fs._files[self.path]
         end = self.position + length
         if self.position > len(buffer):
-            # Seek past EOF: zero-fill the gap (sparse-file semantics).
+            # Past EOF (another handle truncated the file): zero-fill the
+            # gap (sparse-file semantics).
             buffer.extend(bytes(self.position - len(buffer)))
         if self.position == len(buffer):
             # Appending — the common case — extends straight from the
@@ -89,15 +79,6 @@ class FileHandle:
         if length:
             self.fs.disk.write(length, label=f"write:{self.path}")
         return length
-
-    def seek(self, position):
-        self._require_open()
-        if position < 0:
-            raise IoError(f"seek to negative position {position}")
-        self.position = position
-
-    def tell(self):
-        return self.position
 
     def close(self):
         self.closed = True
@@ -121,45 +102,10 @@ class FileSystem:
         """Create (or truncate) a file with explicit contents."""
         self._files[path] = bytearray(bytes(data))
 
-    def create_random(self, path, size, seed=0, dtype=np.float32):
-        """Create a file of deterministic pseudo-random values.
-
-        Returns the numpy array written, so oracles can reuse it.
-        """
-        dtype = np.dtype(dtype)
-        if size % dtype.itemsize != 0:
-            raise IoError(
-                f"file size {size} is not a multiple of {dtype} item size"
-            )
-        key = (size, seed, dtype.str)
-        cached = _RANDOM_FILE_CACHE.get(key)
-        if cached is None:
-            rng = np.random.default_rng(seed)
-            values = rng.random(size // dtype.itemsize).astype(dtype)
-            values.setflags(write=False)
-            cached = (values, values.tobytes())
-            while len(_RANDOM_FILE_CACHE) >= _RANDOM_FILE_CACHE_MAX:
-                _RANDOM_FILE_CACHE.pop(next(iter(_RANDOM_FILE_CACHE)))
-            _RANDOM_FILE_CACHE[key] = cached
-        values, raw = cached
-        self._files[path] = bytearray(raw)
-        return values
-
-    def exists(self, path):
-        return path in self._files
-
-    def size_of(self, path):
-        self._require(path)
-        return len(self._files[path])
-
     def data_of(self, path):
         """The raw bytes of a file (for test assertions; no disk charge)."""
         self._require(path)
         return bytes(self._files[path])  # sanitizer: allow[R002]
-
-    def unlink(self, path):
-        self._require(path)
-        del self._files[path]
 
     def open(self, path, mode="r"):
         if mode == "r":

@@ -43,16 +43,6 @@ class AccessKind(enum.Enum):
         return self.value
 
 
-def page_floor(address):
-    """Round an address down to its page boundary."""
-    return address - (address % PAGE_SIZE)
-
-
 def page_ceil(address):
     """Round an address up to the next page boundary."""
     return -(-address // PAGE_SIZE) * PAGE_SIZE
-
-
-def page_index(base, address):
-    """Index of the page containing ``address`` within a mapping at ``base``."""
-    return (address - base) // PAGE_SIZE

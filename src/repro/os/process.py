@@ -39,10 +39,6 @@ class Process:
         mapping = self.address_space.mmap(max(size, 1))
         return Ptr(self, mapping.start)
 
-    def free(self, ptr):
-        """Release memory obtained from :meth:`malloc`."""
-        self.address_space.munmap(int(ptr))
-
     # -- the fault/retry access loop --------------------------------------------
 
     def _advance_through(self, address, size, kind, commit=None):
@@ -203,29 +199,14 @@ class Ptr:
     def __int__(self):
         return self.addr
 
-    def __index__(self):
-        return self.addr
-
     def __add__(self, offset):
         return type(self)(self.process, self.addr + offset)
-
-    def __eq__(self, other):
-        return isinstance(other, Ptr) and (
-            self.process is other.process and self.addr == other.addr
-        )
-
-    def __hash__(self):
-        return hash((id(self.process), self.addr))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.addr:#x})"
 
     def read_bytes(self, size, offset=0):
         return self.process.read(self.addr + offset, size)
-
-    def read_view(self, size, offset=0):
-        """Zero-copy read; see :meth:`Process.read_view`."""
-        return self.process.read_view(self.addr + offset, size)
 
     def read_into(self, out, offset=0):
         """Read into a caller buffer; see :meth:`Process.read_into`."""
@@ -239,6 +220,3 @@ class Ptr:
 
     def write_array(self, array, offset=0):
         self.process.write_array(self.addr + offset, array)
-
-    def fill(self, value, size, offset=0):
-        self.process.fill(self.addr + offset, value, size)

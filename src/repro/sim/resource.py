@@ -34,11 +34,6 @@ class Completion:
     def duration(self):
         return self.finish - self.start
 
-    @property
-    def queue_delay(self):
-        """Time the operation waited behind earlier work on the resource."""
-        return self.start - self.issued_at
-
     def wait(self):
         """Block the issuing thread (advance the clock) until completion."""
         self.resource.clock.advance_to(self.finish)
@@ -158,13 +153,6 @@ class Resource:
         """Block until every scheduled operation has finished."""
         self.clock.advance_to(self._available_at)
         return self.clock.now
-
-    def utilization(self):
-        """Fraction of elapsed virtual time this resource was busy."""
-        elapsed = self.clock.now
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)
 
     def __repr__(self):
         return (

@@ -132,13 +132,6 @@ class HostCounters:
         """A plain sorted dict copy (for JSON artifacts and assertions)."""
         return {name: self._counts[name] for name in sorted(self._counts)}
 
-    def merge(self, other):
-        for name, value in other._counts.items():
-            self.increment(name, value)
-
-    def reset(self):
-        self._counts.clear()
-
 
 class TimeAccounting:
     """Charges virtual-time durations to Figure 10 categories.
@@ -236,14 +229,6 @@ class TimeAccounting:
     def breakdown(self):
         """A plain dict (category-name -> seconds) for reports and tests."""
         return {str(category): value for category, value in self.totals.items()}
-
-    def merge(self, other):
-        """Accumulate another accounting into this one (for aggregates)."""
-        for category in Category:
-            self.totals[category] += other.totals[category]
-            self.counts[category] += other.counts[category]
-        self.fault_events += other.fault_events
-        self.block_transitions += other.block_transitions
 
 
 class _Measure:

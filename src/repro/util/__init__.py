@@ -5,10 +5,10 @@ This package holds the pieces that every other subsystem leans on:
 * :mod:`repro.util.errors` -- the exception hierarchy,
 * :mod:`repro.util.units` -- byte/time unit helpers (``KB``, ``MB``, ...),
 * :mod:`repro.util.intervals` -- half-open address intervals and range maps,
-* :mod:`repro.util.avltree` -- the balanced binary tree the paper uses as
-  the shared-memory manager's block index,
-* :mod:`repro.util.stats` -- summary statistics over repeated runs,
-* :mod:`repro.util.tables` -- ASCII rendering of experiment tables/series.
+* :mod:`repro.util.avltree` -- the balanced binary tree of block start
+  addresses that prices the shared-memory manager's block search
+  (Section 5.2),
+* :mod:`repro.util.tables` -- ASCII rendering of experiment tables.
 """
 
 from repro.util.errors import (
@@ -21,10 +21,9 @@ from repro.util.errors import (
     CudaError,
     GmacError,
 )
-from repro.util.units import KB, MB, GB, parse_size, format_size, format_time
+from repro.util.units import KB, MB, GB, format_size, format_time
 from repro.util.intervals import Interval, RangeMap
 from repro.util.avltree import AvlTree
-from repro.util.stats import RunStats, summarize
 
 __all__ = [
     "ReproError",
@@ -38,12 +37,9 @@ __all__ = [
     "KB",
     "MB",
     "GB",
-    "parse_size",
     "format_size",
     "format_time",
     "Interval",
     "RangeMap",
     "AvlTree",
-    "RunStats",
-    "summarize",
 ]

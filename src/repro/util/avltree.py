@@ -1,21 +1,23 @@
-"""A self-balancing (AVL) binary search tree keyed by integer address.
+"""A self-balancing (AVL) binary search tree of integer addresses.
 
 The paper (Section 5.2) states that GMAC "keeps memory blocks in a balanced
 binary tree, which requires O(log2(n)) operations to locate a given block",
 and that with small block sizes this search time becomes the dominant
-page-fault overhead.  The shared-memory manager uses this tree as its block
-index, and the fault cost model charges ``t_base + t_node * height`` per
-lookup so Figure 11's small-block penalty is reproduced from the same data
-structure the paper used.
+page-fault overhead.  The shared-memory manager keeps every block's start
+address in this tree as its Section 5.2 cost oracle: the fault cost model
+charges ``t_base + t_node * steps`` per lookup, with ``steps`` the nodes a
+:meth:`AvlTree.floor_steps` search visits, so Figure 11's small-block
+penalty is reproduced from the same data structure the paper used.  Regions
+themselves are found through the manager's range map; the tree only prices
+the search.
 """
 
 
 class _Node:
-    __slots__ = ("key", "value", "left", "right", "height")
+    __slots__ = ("key", "left", "right", "height")
 
-    def __init__(self, key, value):
+    def __init__(self, key):
         self.key = key
-        self.value = value
         self.left = None
         self.right = None
         self.height = 1
@@ -66,47 +68,38 @@ def _rebalance(node):
 
 
 class AvlTree:
-    """Map from integer keys to values with ordered floor/ceiling queries.
+    """An ordered set of integer keys with a step-counting floor search.
 
-    The tree counts comparisons performed by lookups (``search_steps``) so
-    the GMAC fault handler can convert tree work into virtual time.
+    The tree's shape depends only on the keys and the order of inserts and
+    deletes, so the step counts :meth:`floor_steps` reports do too.
     """
 
     def __init__(self):
         self._root = None
         self._size = 0
-        self.search_steps = 0
 
     def __len__(self):
         return self._size
-
-    def __contains__(self, key):
-        return self.get(key, default=None) is not None or self._has_key(key)
 
     @property
     def height(self):
         return _height(self._root)
 
-    def clear(self):
-        self._root = None
-        self._size = 0
-
-    def insert(self, key, value):
-        """Insert or replace ``key -> value``."""
-        self._root, added = self._insert(self._root, key, value)
+    def insert(self, key):
+        """Add ``key``; a key already present is left as it is."""
+        self._root, added = self._insert(self._root, key)
         if added:
             self._size += 1
 
-    def _insert(self, node, key, value):
+    def _insert(self, node, key):
         if node is None:
-            return _Node(key, value), True
+            return _Node(key), True
         if key == node.key:
-            node.value = value
             return node, False
         if key < node.key:
-            node.left, added = self._insert(node.left, key, value)
+            node.left, added = self._insert(node.left, key)
         else:
-            node.right, added = self._insert(node.right, key, value)
+            node.right, added = self._insert(node.right, key)
         return _rebalance(node), added
 
     def delete(self, key):
@@ -133,56 +126,19 @@ class AvlTree:
             while successor.left is not None:
                 successor = successor.left
             node.key = successor.key
-            node.value = successor.value
             node.right, _ = self._delete(node.right, successor.key)
         return _rebalance(node), removed
 
-    def get(self, key, default=None):
-        """Exact lookup, counting comparison steps."""
-        node = self._root
-        while node is not None:
-            self.search_steps += 1
-            if key == node.key:
-                return node.value
-            node = node.left if key < node.key else node.right
-        return default
-
-    def _has_key(self, key):
-        node = self._root
-        while node is not None:
-            if key == node.key:
-                return True
-            node = node.left if key < node.key else node.right
-        return False
-
-    def floor(self, key):
-        """Return (k, v) with the largest k <= key, or None.
+    def floor_steps(self, key):
+        """``(k, steps)``: the largest key ``k <= key`` (None if there is
+        none) and the number of nodes the search visited.
 
         This is the lookup the fault handler performs: blocks are keyed by
         start address, and the block containing a faulting address is the
-        floor entry.
-        """
-        node = self._root
-        best = None
-        while node is not None:
-            self.search_steps += 1
-            if node.key == key:
-                return (node.key, node.value)
-            if node.key < key:
-                best = (node.key, node.value)
-                node = node.right
-            else:
-                node = node.left
-        return best
-
-    def floor_steps(self, key):
-        """Like :meth:`floor`, but returns ``((k, v) or None, steps)``
-        without touching the shared ``search_steps`` counter.
-
-        The GMAC manager uses this to *sample* the Section 5.2 search cost
-        of the balanced tree — the step counts are cached in flat per-region
-        arrays, so the fault hot path charges the exact tree cost without
-        re-walking the tree (see ``Manager._fault_steps_for``).
+        floor entry.  The GMAC manager *samples* these step counts into
+        flat per-region arrays, so the fault hot path charges the exact
+        tree cost without re-walking the tree (see
+        ``Manager._fault_steps_for``).
         """
         node = self._root
         best = None
@@ -190,64 +146,13 @@ class AvlTree:
         while node is not None:
             steps += 1
             if node.key == key:
-                return (node.key, node.value), steps
+                return node.key, steps
             if node.key < key:
-                best = (node.key, node.value)
+                best = node.key
                 node = node.right
             else:
                 node = node.left
         return best, steps
-
-    def ceiling(self, key):
-        """Return (k, v) with the smallest k >= key, or None."""
-        node = self._root
-        best = None
-        while node is not None:
-            self.search_steps += 1
-            if node.key == key:
-                return (node.key, node.value)
-            if node.key > key:
-                best = (node.key, node.value)
-                node = node.left
-            else:
-                node = node.right
-        return best
-
-    def min_item(self):
-        node = self._root
-        if node is None:
-            return None
-        while node.left is not None:
-            node = node.left
-        return (node.key, node.value)
-
-    def max_item(self):
-        node = self._root
-        if node is None:
-            return None
-        while node.right is not None:
-            node = node.right
-        return (node.key, node.value)
-
-    def items(self):
-        """Yield (key, value) in ascending key order."""
-        stack = []
-        node = self._root
-        while stack or node is not None:
-            while node is not None:
-                stack.append(node)
-                node = node.left
-            node = stack.pop()
-            yield (node.key, node.value)
-            node = node.right
-
-    def keys(self):
-        for key, _ in self.items():
-            yield key
-
-    def values(self):
-        for _, value in self.items():
-            yield value
 
     def check_invariants(self):
         """Validate BST ordering and AVL balance; used by property tests."""

@@ -69,15 +69,6 @@ class RangeMap:
         self._starts = []
         self._entries = []  # parallel list of (Interval, value)
 
-    def __len__(self):
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def intervals(self):
-        return [interval for interval, _ in self._entries]
-
     def values(self):
         return [value for _, value in self._entries]
 

@@ -59,9 +59,3 @@ def _render_cell(cell):
             return f"{cell:.3e}"
         return f"{cell:.4g}"
     return str(cell)
-
-
-def render_series(name, xs, ys, x_label="x", y_label="y"):
-    """Render one (x, y) series as a two-column table."""
-    rows = list(zip(xs, ys))
-    return render_table([x_label, y_label], rows, title=name)

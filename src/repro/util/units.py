@@ -1,44 +1,12 @@
 """Byte-size and time helpers.
 
 The paper quotes sizes as 4KB..32MB memory blocks and volumes such as
-384x384x384 floats; experiments sweep over human-readable size strings.
+384x384x384 floats; experiment tables label sizes and times the same way.
 """
-
-import re
 
 KB = 1024
 MB = 1024 * KB
 GB = 1024 * MB
-
-_SUFFIXES = {
-    "": 1,
-    "B": 1,
-    "KB": KB,
-    "MB": MB,
-    "GB": GB,
-}
-
-_SIZE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*([KMG]?B?)\s*$", re.IGNORECASE)
-
-
-def parse_size(text):
-    """Parse a human-readable size ("256KB", "4 MB", "32mb") into bytes.
-
-    Integers pass through unchanged so APIs can accept either form.
-    """
-    if isinstance(text, (int,)):
-        if text < 0:
-            raise ValueError(f"negative size: {text}")
-        return text
-    match = _SIZE_RE.match(str(text))
-    if not match:
-        raise ValueError(f"unparseable size: {text!r}")
-    value, suffix = match.groups()
-    factor = _SUFFIXES[suffix.upper()]
-    result = float(value) * factor
-    if not result.is_integer():
-        raise ValueError(f"size {text!r} is not a whole number of bytes")
-    return int(result)
 
 
 def format_size(nbytes):
@@ -64,14 +32,3 @@ def format_time(seconds):
     if seconds >= 1e-6:
         return f"{seconds * 1e6:.3f}us"
     return f"{seconds * 1e9:.1f}ns"
-
-
-def format_bandwidth(bytes_per_second):
-    """Render a bandwidth in the GBps/MBps style used by Figures 2 and 11."""
-    if bytes_per_second >= GB:
-        return f"{bytes_per_second / GB:.2f}GBps"
-    if bytes_per_second >= MB:
-        return f"{bytes_per_second / MB:.2f}MBps"
-    if bytes_per_second >= KB:
-        return f"{bytes_per_second / KB:.2f}KBps"
-    return f"{bytes_per_second:.1f}Bps"

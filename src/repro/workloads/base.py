@@ -191,12 +191,6 @@ class WorkloadResult:
     verified: bool                # outputs matched the numpy oracle
     extra: dict = field(default_factory=dict)
 
-    @property
-    def label(self):
-        if self.mode == "cuda":
-            return "CUDA"
-        return f"GMAC {self.protocol}"
-
 
 class Workload(abc.ABC):
     """One benchmark: two variants, one oracle, deterministic inputs."""
@@ -314,53 +308,11 @@ class Workload(abc.ABC):
             gmac, context=f"{self.name}:{protocol}"
         )
 
-    def execute_stats(self, runs=3, mode="gmac", protocol="rolling",
-                      gmac_options=None):
-        """Repeated execution with varied seeds; summary statistics.
-
-        The paper executes each benchmark 16 times and reports averages;
-        the simulator is deterministic per seed, so repetition varies the
-        workload seed instead and summarizes elapsed virtual time.
-        """
-        from repro.util.stats import summarize
-
-        if runs < 1:
-            raise ReproError(f"need at least one run, got {runs}")
-        elapsed = []
-        results = []
-        for repetition in range(runs):
-            workload = type(self)(**self._repeat_params(repetition))
-            result = workload.execute(
-                mode=mode, protocol=protocol, gmac_options=gmac_options
-            )
-            if not result.verified:
-                raise ReproError(
-                    f"{self.name} run {repetition} failed verification"
-                )
-            elapsed.append(result.elapsed)
-            results.append(result)
-        return summarize(elapsed), results
-
-    def _repeat_params(self, repetition):
-        """Constructor kwargs for repetition N: same sizes, varied seed.
-
-        Works for any workload whose constructor parameters are stored as
-        same-named attributes (all of ours are); override otherwise.
-        """
-        import inspect
-
-        params = {}
-        for name in inspect.signature(type(self).__init__).parameters:
-            if name != "self" and hasattr(self, name):
-                params[name] = getattr(self, name)
-        params["seed"] = self.seed + repetition
-        return params
-
     def _reference_key(self):
         """Cache key for the oracle, or None when params are not hashable.
 
-        Mirrors :meth:`_repeat_params`: constructor parameters are stored
-        as same-named attributes.  A parameter that is missing or not a
+        Constructor parameters are stored as same-named attributes (all
+        of ours are).  A parameter that is missing or not a
         plain scalar disables caching for that workload instance rather
         than risking a stale or colliding entry.
         """

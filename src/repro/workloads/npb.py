@@ -117,9 +117,3 @@ def trace_summary(name, instructions=200_000, seed=0):
     spec = NPB_KERNELS[name]
     is_memory, in_kernel = generate_trace(spec, instructions, seed)
     return analyze_trace(spec, is_memory, in_kernel)
-
-
-def bandwidth_series(name, ipc_values, clock_hz=NPB_CLOCK_HZ):
-    """The Figure 2 curve for one benchmark over a sweep of IPC values."""
-    spec = NPB_KERNELS[name]
-    return [spec.required_bandwidth(ipc, clock_hz) for ipc in ipc_values]

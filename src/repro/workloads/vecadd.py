@@ -198,27 +198,3 @@ class VectorAdd(Workload):
             "kernel_wait_s": sync_end - init_end,
         }
         return {"c": result}
-
-
-def transfer_phase_times(block_size, elements=2 * 1024 * 1024):
-    """Run vecadd under rolling-update at ``block_size``; returns phases.
-
-    The helper behind the Figure 11 sweep: one fresh machine per block
-    size, fixed generous rolling size (the sweep isolates block size).
-    """
-    workload = VectorAdd(elements=elements)
-    result = workload.execute(
-        mode="gmac",
-        protocol="rolling",
-        gmac_options={
-            # A fixed dirty-block window isolates the block-size effect;
-            # the adaptive default would give 3 allocations x 2 = 6 blocks.
-            "protocol_options": {"block_size": block_size, "rolling_size": 16},
-            "layer": "driver",
-        },
-    )
-    phases = dict(workload.phases)
-    phases["elapsed_s"] = result.elapsed
-    phases["verified"] = result.verified
-    phases["faults"] = result.faults
-    return phases

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.sim.tracing import CoherenceEvent
+from repro.analysis import attach_sanitizer
 from repro.analysis.checker import CoherenceModelChecker
+from repro.hw.machine import reference_system
+from repro.util.units import KB
+from repro.workloads.base import Application
 
 
 def feed(checker, *events):
@@ -354,3 +358,24 @@ class TestViolationShape:
             events += [transition("invalid"), transition("dirty")]
         feed(checker, *events)
         assert len(checker.violations) == 3
+
+
+class TestFreeUnderSanitizer:
+    """adsmFree on a live rolling-update run: the freed region's blocks
+    leave the checker's dirty FIFO with it, so the next region's
+    evictions are judged against its own blocks only."""
+
+    def test_free_with_queued_dirty_blocks_is_clean(self):
+        gmac = Application(reference_system()).gmac(
+            protocol="rolling",
+            protocol_options={"block_size": 4 * KB, "rolling_size": 2},
+        )
+        sanitizer = attach_sanitizer(gmac, "free")
+        first = gmac.alloc(4 * 4 * KB, name="first")
+        second = gmac.alloc(4 * 4 * KB, name="second")
+        for index in range(2):
+            first.write_bytes(b"\x01" * 64, offset=index * 4 * KB)
+        gmac.free(first)
+        for index in range(4):
+            second.write_bytes(b"\x02" * 64, offset=index * 4 * KB)
+        assert sanitizer.finish() == []

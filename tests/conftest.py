@@ -51,11 +51,10 @@ def _isolated_result_cache(tmp_path_factory):
     from repro.experiments import common
     from repro.experiments.cache import ResultCache
 
-    common.set_persistent_cache(
+    with common.using_cache(
         ResultCache(tmp_path_factory.mktemp("result-cache"))
-    )
-    yield
-    common.set_persistent_cache(None)
+    ):
+        yield
 
 
 @pytest.fixture

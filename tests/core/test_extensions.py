@@ -112,7 +112,7 @@ class TestPeerDma:
         assert app.process.signals.delivered == before  # no page faults
         region = peer_gmac.manager.region_at(int(ptr))
         assert all(b.state is BlockState.INVALID for b in region.blocks)
-        assert peer_gmac.layer.gpu.memory.read(
+        assert peer_gmac.layer.driver.gpu.memory.read(
             region.device_start, len(payload)
         ) == payload
         # The CPU still sees the data, via normal on-demand fetching.

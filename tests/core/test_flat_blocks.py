@@ -166,7 +166,7 @@ def test_block_table_matches_naive_model(params):
         if op[0] == "set":
             _, raw_index, state = op
             index = raw_index % table.n_blocks
-            table.set_state(index, state)
+            table.fill_range(index, index, state)
             naive.set_state(index, state)
         else:
             _, raw_first, (raw_last, state) = op
@@ -175,12 +175,11 @@ def test_block_table_matches_naive_model(params):
             table.fill_range(first, last, state)
             naive.fill_range(first, last, state)
 
-        assert [table.state_of(i) for i in range(table.n_blocks)] == (
+        assert [CODE_STATES[code] for code in table.states] == (
             naive.states()
         )
         for state in STATES:
             assert list(table.indices_in(state)) == naive.indices_in(state)
-            assert table.count_in(state) == len(naive.indices_in(state))
 
     # Address resolution agrees with the explicit interval list for every
     # block boundary and interior byte.
@@ -228,4 +227,4 @@ def test_code_tables_round_trip():
     table = BlockTable(0, 64, 16)
     for state in STATES:
         table.fill(state)
-        assert table.count_in(state) == table.n_blocks
+        assert len(table.indices_in(state)) == table.n_blocks

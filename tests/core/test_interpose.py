@@ -87,7 +87,7 @@ class TestInterposedMemset:
         region = gmac.manager.region_at(int(ptr))
         # Device is canonical, host copy discarded.
         assert all(b.state is BlockState.INVALID for b in region.blocks)
-        assert gmac.layer.gpu.memory.read(region.device_start, 8) == b"\x77" * 8
+        assert gmac.layer.driver.gpu.memory.read(region.device_start, 8) == b"\x77" * 8
         # CPU read faults the value back.
         assert ptr.read_bytes(8) == b"\x77" * 8
 
@@ -124,9 +124,9 @@ class TestInterposedMemcpy:
         src = gmac.alloc(PAGE_SIZE, name="src")
         dst = gmac.alloc(PAGE_SIZE, name="dst")
         src.write_bytes(b"D" * PAGE_SIZE)
-        engine_ops_before = gmac.layer.gpu.engine.operation_count
+        engine_ops_before = gmac.layer.driver.gpu.engine.operation_count
         app.libc.memcpy(int(dst), int(src), PAGE_SIZE)
-        assert gmac.layer.gpu.engine.operation_count > engine_ops_before
+        assert gmac.layer.driver.gpu.engine.operation_count > engine_ops_before
         assert dst.read_bytes(8) == b"D" * 8
 
     def test_plain_to_shared_full_block_is_dma(self, app, gmac):

@@ -5,12 +5,7 @@ import pytest
 from repro.util.errors import GmacError
 from repro.util.units import MB
 from repro.hw.machine import multi_device_system
-from repro.core.placement import (
-    PLACEMENTS,
-    CapacityAware,
-    PlacementPolicy,
-    RoundRobin,
-)
+from repro.core.placement import PLACEMENTS, PlacementPolicy, RoundRobin
 
 
 @pytest.fixture
@@ -43,18 +38,6 @@ class TestRoundRobin:
             policy.place(MB)
 
 
-class TestCapacityAware:
-    def test_prefers_most_free_memory(self, multi_machine):
-        policy = CapacityAware(multi_machine)
-        multi_machine.gpus[0].memory.alloc(64 * MB)
-        multi_machine.gpus[2].memory.alloc(32 * MB)
-        assert policy.place(MB) == 1
-
-    def test_ties_break_to_lowest_index(self, multi_machine):
-        policy = CapacityAware(multi_machine)
-        assert policy.place(MB) == 0
-
-
 class TestSurvivors:
     def test_survivor_excludes_the_lost_device(self, multi_machine):
         policy = RoundRobin(multi_machine)
@@ -72,7 +55,6 @@ class TestSurvivors:
 class TestRegistryAndWiring:
     def test_registry_names(self):
         assert PLACEMENTS["round-robin"] is RoundRobin
-        assert PLACEMENTS["capacity"] is CapacityAware
         for cls in PLACEMENTS.values():
             assert issubclass(cls, PlacementPolicy)
 
@@ -80,9 +62,9 @@ class TestRegistryAndWiring:
         from repro.workloads.base import Application
 
         gmac = Application(multi_machine).gmac(
-            protocol="rolling", layer="driver", placement="capacity"
+            protocol="rolling", layer="driver", placement="round-robin"
         )
-        assert isinstance(gmac.placement, CapacityAware)
+        assert isinstance(gmac.placement, RoundRobin)
         assert gmac.manager.placement is gmac.placement
 
     def test_unknown_policy_name_raises(self, multi_machine):

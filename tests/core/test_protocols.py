@@ -163,7 +163,7 @@ class TestRollingUpdate:
         ptr.write_bytes(b"evict me", offset=0)
         ptr.write_bytes(b"second", offset=PAGE_SIZE)  # evicts block 0
         region = region_of(gmac, ptr)
-        assert gmac.layer.gpu.memory.read(
+        assert gmac.layer.driver.gpu.memory.read(
             region.device_start, 8
         ) == b"evict me"
 

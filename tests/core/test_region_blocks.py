@@ -44,14 +44,6 @@ class TestSharedRegion:
         with pytest.raises(ValueError):
             region.device_address_of(0x20000)
 
-    def test_block_containing(self):
-        region = SharedRegion("r", 0, 0, 4 * PAGE_SIZE, PAGE_SIZE)
-        assert region.block_containing(0).index == 0
-        assert region.block_containing(PAGE_SIZE).index == 1
-        assert region.block_containing(4 * PAGE_SIZE - 1).index == 3
-        with pytest.raises(ValueError):
-            region.block_containing(4 * PAGE_SIZE)
-
     def test_blocks_overlapping(self):
         region = SharedRegion("r", 0, 0, 4 * PAGE_SIZE, PAGE_SIZE)
         hits = region.blocks_overlapping(
@@ -59,13 +51,6 @@ class TestSharedRegion:
         )
         assert [b.index for b in hits] == [0, 1, 2]
         assert region.blocks_overlapping(Interval(0, 0)) == []
-
-    def test_state_helpers(self):
-        region = SharedRegion("r", 0, 0, 2 * PAGE_SIZE, PAGE_SIZE)
-        region.set_all_states(BlockState.DIRTY)
-        assert len(region.blocks_in_state(BlockState.DIRTY)) == 2
-        region.blocks[0].state = BlockState.INVALID
-        assert len(region.blocks_in_state(BlockState.DIRTY)) == 1
 
     def test_bad_block_size_rejected(self):
         with pytest.raises(ValueError):

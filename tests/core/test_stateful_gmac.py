@@ -134,7 +134,7 @@ class GmacMachine(RuleBasedStateMachine):
 
     @invariant()
     def device_memory_not_leaked(self):
-        in_use = self.gmac.layer.gpu.memory.bytes_in_use
+        in_use = self.gmac.layer.driver.gpu.memory.bytes_in_use
         assert in_use == len(self.regions) * REGION_BYTES
 
     @invariant()
@@ -151,7 +151,7 @@ class GmacMachine(RuleBasedStateMachine):
                 observed = ptr.read_array("i4", WORDS)
                 assert np.array_equal(observed, model)
             self.gmac.shutdown()
-            assert self.gmac.layer.gpu.memory.bytes_in_use == 0
+            assert self.gmac.layer.driver.gpu.memory.bytes_in_use == 0
 
 
 GmacMachine.TestCase.settings = settings(

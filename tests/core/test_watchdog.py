@@ -4,36 +4,31 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.clock import SimClock
-from repro.sim.tracing import Category, TimeAccounting
 from repro.core.watchdog import Watchdog
 
 
-def make_watchdog(with_accounting=True, on_trip=None):
+def make_watchdog(on_trip=None):
     clock = SimClock()
-    accounting = TimeAccounting(clock) if with_accounting else None
-    return clock, accounting, Watchdog(
-        clock, accounting=accounting, on_trip=on_trip
-    )
+    return clock, Watchdog(clock, on_trip=on_trip)
 
 
 class TestArming:
     def test_arm_sets_expiry_from_now(self):
-        clock, _, watchdog = make_watchdog()
+        clock, watchdog = make_watchdog()
         clock.advance(2.0)
         deadline = watchdog.arm("transfer", 0.5, label="flush:a")
         assert deadline.armed_at == pytest.approx(2.0)
         assert deadline.expires_at == pytest.approx(2.5)
-        assert deadline.budget_s == pytest.approx(0.5)
         assert deadline.armed
 
     @pytest.mark.parametrize("budget", [0.0, -1e-6])
     def test_non_positive_budget_rejected(self, budget):
-        _, _, watchdog = make_watchdog()
+        _, watchdog = make_watchdog()
         with pytest.raises(ValueError):
             watchdog.arm("transfer", budget)
 
     def test_expired_tracks_the_clock(self):
-        clock, _, watchdog = make_watchdog()
+        clock, watchdog = make_watchdog()
         deadline = watchdog.arm("kernel-window", 1.0)
         assert not watchdog.expired(deadline)
         clock.advance(0.999)
@@ -42,7 +37,7 @@ class TestArming:
         assert watchdog.expired(deadline)
 
     def test_disarmed_deadline_never_expires(self):
-        clock, _, watchdog = make_watchdog()
+        clock, watchdog = make_watchdog()
         deadline = watchdog.arm("transfer", 0.1)
         watchdog.disarm(deadline)
         clock.advance(1.0)
@@ -52,7 +47,7 @@ class TestArming:
 class TestTripping:
     def test_trip_records_and_notifies(self):
         seen = []
-        clock, _, watchdog = make_watchdog(on_trip=seen.append)
+        clock, watchdog = make_watchdog(on_trip=seen.append)
         deadline = watchdog.arm("transfer", 0.25, label="flush:a")
         clock.advance(0.3)
         record = watchdog.trip(deadline, "declare-device-lost")
@@ -61,23 +56,6 @@ class TestTripping:
         assert watchdog.trips == [record]
         assert seen == [record]
         assert not deadline.armed
-
-    def test_wait_out_charges_retry_and_lands_on_expiry(self):
-        clock, accounting, watchdog = make_watchdog()
-        deadline = watchdog.arm("transfer", 1.0)
-        clock.advance(0.25)
-        now = watchdog.wait_out(deadline)
-        assert now == pytest.approx(1.0)
-        assert clock.now == pytest.approx(1.0)
-        assert accounting.totals[Category.RETRY] == pytest.approx(0.75)
-
-    def test_wait_out_past_expiry_is_a_no_op(self):
-        clock, accounting, watchdog = make_watchdog()
-        deadline = watchdog.arm("transfer", 0.1)
-        clock.advance(0.5)
-        watchdog.wait_out(deadline)
-        assert clock.now == pytest.approx(0.5)
-        assert accounting.totals[Category.RETRY] == 0.0
 
 
 class TestNeverEarlyProperty:
@@ -97,7 +75,7 @@ class TestNeverEarlyProperty:
     )
     def test_trip_succeeds_iff_deadline_expired(self, budget, advances,
                                                 action):
-        clock, _, watchdog = make_watchdog()
+        clock, watchdog = make_watchdog()
         deadline = watchdog.arm("transfer", budget)
         for step in advances:
             clock.advance(step)
@@ -118,10 +96,10 @@ class TestNeverEarlyProperty:
                         allow_nan=False, allow_infinity=False),
     )
     def test_wait_out_then_trip_is_always_legal(self, budget, start):
-        """The sanctioned escalation sequence can never fire early."""
-        clock, _, watchdog = make_watchdog()
+        """Waiting a deadline out, then tripping it, never fires early."""
+        clock, watchdog = make_watchdog()
         clock.advance(start)
         deadline = watchdog.arm("transfer", budget)
-        watchdog.wait_out(deadline)
+        clock.advance_to(deadline.expires_at)
         record = watchdog.trip(deadline, "declare-device-lost")
         assert record["tripped_at"] >= deadline.expires_at

@@ -61,11 +61,6 @@ class TestAccounting:
         cuda.cuda_thread_synchronize()
         assert app.machine.accounting.totals[Category.GPU] > 0
 
-    def test_free_charged(self, app, cuda):
-        dev = cuda.cuda_malloc(64)
-        cuda.cuda_free(dev)
-        assert app.machine.accounting.counts[Category.CUDA_FREE] == 1
-
 
 class TestSemantics:
     def test_full_pipeline(self, app, cuda):
@@ -94,10 +89,8 @@ class TestSemantics:
         dev = cuda.cuda_malloc(1 << 20)
         completion = cuda.cuda_memcpy_h2d_async(dev, host, 1 << 20, stream)
         assert completion.finish > app.machine.clock.now
-        back = cuda.cuda_memcpy_d2h_async(host, dev, 1 << 20, stream)
-        assert back.start >= completion.issued_at
         cuda.cuda_thread_synchronize()
-        assert app.machine.clock.now >= back.finish
+        assert app.machine.clock.now >= completion.finish
 
     def test_sync_returns_waited_time(self, cuda):
         dev = cuda.cuda_malloc(64)

@@ -16,6 +16,7 @@ import pytest
 from repro.experiments import common
 from repro.experiments.cache import ResultCache
 from repro.experiments.executor import ExperimentExecutor, expand
+from repro.experiments.registry import run_experiment
 from repro.experiments.spec import RunSpec, WORKLOAD_FACTORIES
 from repro.util.errors import RecoveryExhausted
 from repro.workloads import base as workload_base
@@ -23,11 +24,21 @@ from repro.workloads import base as workload_base
 EXPERIMENTS = ["fig7", "fig12"]
 
 
+def _run_many(executor):
+    """Prime the union of EXPERIMENTS' sweeps, then run each in order."""
+    with executor.cache_context():
+        executor.prime(expand(EXPERIMENTS, quick=True))
+        return [
+            (experiment_id, run_experiment(experiment_id, quick=True))
+            for experiment_id in EXPERIMENTS
+        ]
+
+
 def _run_sweep(jobs, cache_dir):
     """One fresh sweep of EXPERIMENTS: empty memory, private disk cache."""
     common.clear_cache()
     executor = ExperimentExecutor(jobs=jobs, cache_dir=cache_dir)
-    results = executor.run_many(EXPERIMENTS, quick=True)
+    results = _run_many(executor)
     return executor, {
         experiment_id: result.to_json() for experiment_id, result in results
     }
@@ -72,7 +83,7 @@ class TestWarmCache:
         common.clear_cache()
         uncached = ExperimentExecutor(jobs=1, use_cache=False)
         assert uncached.cache is None
-        uncached.run_many(EXPERIMENTS, quick=True)
+        _run_many(uncached)
         common.clear_cache()
         assert uncached.stats["executed"] == first["expanded"]
         assert workload_base.EXECUTIONS == before + first["expanded"]
@@ -175,7 +186,7 @@ class TestResultCache:
         assert cache.get(spec) is None
         outcome = spec.execute()
         cache.put(spec, outcome)
-        assert len(cache) == 1
+        assert len(list(tmp_path.glob("*.pkl"))) == 1
         loaded = cache.get(spec)
         assert loaded.elapsed == outcome.elapsed
         assert loaded.breakdown == outcome.breakdown

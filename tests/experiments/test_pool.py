@@ -562,8 +562,9 @@ class TestTimingMetadata:
         a, b = _vec_spec(512), _vec_spec(1024)
         cache.record_timings({ResultCache.timing_key(a): 0.25})
         cache.record_timings({ResultCache.timing_key(b): 1.5})
-        assert cache.expected_cost(a) == 0.25
-        assert cache.expected_cost(b) == 1.5
+        timings = cache.timings()
+        assert timings[ResultCache.timing_key(a)] == 0.25
+        assert timings[ResultCache.timing_key(b)] == 1.5
 
     def test_timing_key_survives_source_edits(self, monkeypatch):
         spec = _vec_spec(512)
@@ -578,7 +579,7 @@ class TestTimingMetadata:
         tmp_path.mkdir(exist_ok=True)
         (tmp_path / "timings.json").write_text("{not json")
         assert cache.timings() == {}
-        assert cache.expected_cost(_vec_spec(512)) is None
+        assert ResultCache.timing_key(_vec_spec(512)) not in cache.timings()
         cache.record_timings({"k": 1.0})  # recovers by rewriting
         assert cache.timings() == {"k": 1.0}
 

@@ -24,13 +24,13 @@ class TestNormalization:
         assert spec.placement == "round-robin"
 
     def test_devices_one_collapses_topology_knobs(self):
-        spec = make(devices=1, link_specs=["pcie2x16"], placement="capacity")
+        spec = make(devices=1, link_specs=["pcie2x16"], placement="custom")
         assert spec.link_specs == ()
         assert spec.placement == "-"
         assert spec.key() == make(devices=1).key()
 
     def test_non_gmac_mode_collapses_devices(self):
-        spec = make(mode="cuda", devices=3, placement="capacity")
+        spec = make(mode="cuda", devices=3, placement="custom")
         assert spec.devices == 1
         assert spec.placement == "-"
         assert spec.key() == make(mode="cuda").key()
@@ -57,9 +57,9 @@ class TestKeying:
 
     def test_key_contains_topology_fields(self):
         spec = make(devices=3, link_specs=["pcie2x16", "qpi", "qpi"],
-                    placement="capacity")
+                    placement="custom")
         key = spec.key()
-        for fragment in ('"devices": 3', '"placement": "capacity"', "qpi"):
+        for fragment in ('"devices": 3', '"placement": "custom"', "qpi"):
             assert fragment in key
 
     def test_device_count_changes_the_key(self):
@@ -67,7 +67,7 @@ class TestKeying:
 
     def test_placement_changes_the_key(self):
         assert (make(devices=3).key()
-                != make(devices=3, placement="capacity").key())
+                != make(devices=3, placement="custom").key())
 
     def test_link_specs_change_the_key(self):
         symmetric = make(devices=2)

@@ -212,10 +212,10 @@ class TestWatchdogEscalation:
         recovery = gmac.recovery
         recovery._salvage(gmac.layer.context_for(region.owner))
         assert recovery.stats["blocks_salvaged"] > 0
-        host = gmac.process.address_space.view(
-            region.host_start, "f4", n
+        host = np.frombuffer(
+            gmac.process.address_space.peek(region.host_start, 4 * n), "f4"
         )
-        assert np.allclose(np.array(host), 5.0)
+        assert np.allclose(host, 5.0)
 
 
 class TestFlappingAndReadmission:

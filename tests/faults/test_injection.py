@@ -168,10 +168,10 @@ class TestDiskInjection:
 
 
 class TestZeroCost:
-    """With FaultPlan.none() every run is byte-identical to no plan."""
+    """With a default FaultPlan() every run is byte-identical to no plan."""
 
     def test_disabled_plan_never_consulted(self, app, ctx):
-        plan = app.machine.install_faults(FaultPlan.none())
+        plan = app.machine.install_faults(FaultPlan())
         host = app.process.malloc(MB)
         dev = ctx.mem_alloc(MB)
         ctx.memcpy_h2d(dev, int(host), MB)
@@ -183,7 +183,7 @@ class TestZeroCost:
         plain = workload.execute(mode="gmac", protocol="rolling",
                                  gmac_options={"layer": "driver"})
         machine = reference_system()
-        machine.install_faults(FaultPlan.none())
+        machine.install_faults(FaultPlan())
         nulled = workload.execute(mode="gmac", protocol="rolling",
                                   machine=machine,
                                   gmac_options={"layer": "driver"})

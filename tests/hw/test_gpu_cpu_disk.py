@@ -96,16 +96,6 @@ class TestGpu:
 
 
 class TestCpu:
-    def test_compute_time(self, clock):
-        cpu = Cpu(OPTERON_2222, clock)
-        cpu.compute(3e9)
-        assert clock.now == pytest.approx(1.0)
-
-    def test_touch_time(self, clock):
-        cpu = Cpu(OPTERON_2222, clock)
-        cpu.touch(OPTERON_2222.touch_bytes_per_s)
-        assert clock.now == pytest.approx(1.0)
-
     def test_stream_custom_rate(self, clock):
         cpu = Cpu(OPTERON_2222, clock)
         cpu.stream(2e9, 2e9)
@@ -115,24 +105,17 @@ class TestCpu:
         with pytest.raises(ValueError):
             Cpu(OPTERON_2222, clock).stream(10, 0)
 
-    def test_busy(self, clock):
-        Cpu(OPTERON_2222, clock).busy(0.5)
-        assert clock.now == 0.5
-        with pytest.raises(ValueError):
-            Cpu(OPTERON_2222, clock).busy(-0.5)
-
     def test_charges_cpu_category(self, clock):
         accounting = TimeAccounting(clock)
         cpu = Cpu(OPTERON_2222, clock, accounting=accounting)
-        cpu.compute(3e9)
+        cpu.stream(2e9, 2e9)
         assert accounting.totals[Category.CPU] == pytest.approx(1.0)
 
     def test_counters(self, clock):
         cpu = Cpu(OPTERON_2222, clock)
-        cpu.compute(100)
-        cpu.touch(50)
-        assert cpu.instructions_retired == 100
-        assert cpu.bytes_touched == 50
+        cpu.stream(50, 1e9)
+        cpu.stream(25, 1e9)
+        assert cpu.bytes_touched == 75
 
 
 class TestDisk:

@@ -61,12 +61,6 @@ class TestLink:
         second = link.transfer(MB, Direction.H2D)
         assert second.start == first.finish
 
-    def test_sync_transfer_blocks(self, clock, link):
-        link.transfer_sync(MB, Direction.H2D)
-        assert clock.now == pytest.approx(
-            PCIE_2_0_X16.transfer_seconds(MB)
-        )
-
     def test_byte_counters(self, link):
         link.transfer(100, Direction.H2D)
         link.transfer(200, Direction.H2D)
@@ -74,11 +68,6 @@ class TestLink:
         assert link.bytes_moved[Direction.H2D] == 300
         assert link.bytes_moved[Direction.D2H] == 300
         assert link.transfer_count[Direction.H2D] == 2
-
-    def test_reset_counters(self, link):
-        link.transfer(100, Direction.H2D)
-        link.reset_counters()
-        assert link.bytes_moved[Direction.H2D] == 0
 
     def test_drain(self, clock, link):
         link.transfer(MB, Direction.H2D)
@@ -88,10 +77,6 @@ class TestLink:
             PCIE_2_0_X16.transfer_seconds(2 * MB, d2h=True)
         )
 
-    def test_pending_until(self, link):
-        completion = link.transfer(MB, Direction.H2D)
-        assert link.pending_until() == completion.finish
-
     def test_many_small_slower_than_one_big(self, clock):
         spec = LinkSpec("test", 10e-6, 1 * GB, 1 * GB)
         chunks = Link(spec, SimClock())
@@ -99,5 +84,5 @@ class TestLink:
             chunks.transfer(MB // 64, Direction.H2D)
         chunked_time = chunks.drain()
         single = Link(spec, SimClock())
-        single.transfer_sync(MB, Direction.H2D)
-        assert chunked_time > single.clock.now
+        single.transfer(MB, Direction.H2D)
+        assert chunked_time > single.drain()

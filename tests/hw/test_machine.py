@@ -25,11 +25,6 @@ class TestReferenceSystem:
     def test_not_integrated(self):
         assert reference_system().integrated is False
 
-    def test_elapsed_tracks_clock(self):
-        machine = reference_system()
-        machine.clock.advance(1.5)
-        assert machine.elapsed() == 1.5
-
     def test_multi_gpu(self):
         machine = reference_system(gpu_count=2)
         assert len(machine.gpus) == 2
@@ -51,11 +46,3 @@ class TestIntegratedSystem:
         machine = integrated_system()
         assert machine.integrated is True
         assert machine.link.spec is HYPERTRANSPORT
-
-    def test_reset_transfer_counters(self):
-        machine = reference_system()
-        from repro.hw.interconnect import Direction
-
-        machine.link.transfer(100, Direction.H2D)
-        machine.reset_transfer_counters()
-        assert machine.link.bytes_moved[Direction.H2D] == 0

@@ -89,12 +89,6 @@ class TestAllocator:
         assert memory.bytes_in_use == 0
         assert memory.bytes_free == memory.capacity
 
-    def test_allocation_at(self, memory):
-        a = memory.alloc(8192)
-        interval = memory.allocation_at(a + 100)
-        assert interval.start == a
-        assert memory.allocation_at(a + 8192) is None
-
     @given(
         st.lists(
             st.one_of(
@@ -149,11 +143,10 @@ class TestDataAccess:
 
     def test_out_of_allocation_access_rejected(self, memory):
         a = memory.alloc(100)  # padded to alignment
-        interval = memory.allocation_at(a)
         with pytest.raises(AddressError):
-            memory.read(interval.end, 1)
+            memory.read(a + memory.alignment, 1)
         with pytest.raises(AddressError):
-            memory.read(a, interval.size + 1)
+            memory.read(a, memory.alignment + 1)
 
     def test_unallocated_access_rejected(self, memory):
         with pytest.raises(AddressError):

@@ -48,8 +48,6 @@ class TestTestbed:
 class TestSpecValidation:
     def test_cpu_negative_inputs(self):
         with pytest.raises(ValueError):
-            OPTERON_2222.compute_seconds(-1)
-        with pytest.raises(ValueError):
             OPTERON_2222.touch_seconds(-1)
 
     def test_gpu_kernel_model_max_rule(self):

@@ -102,7 +102,7 @@ class TestMultiGpu:
 class TestDeviceMemoryPressure:
     def test_alloc_failure_propagates_cleanly(self, gmac_factory):
         gmac = gmac_factory("rolling")
-        capacity = gmac.layer.gpu.memory.capacity
+        capacity = gmac.layer.driver.gpu.memory.capacity
         from repro.util.errors import AllocationError
 
         with pytest.raises(AllocationError):
@@ -116,7 +116,7 @@ class TestDeviceMemoryPressure:
         ptrs = [gmac.alloc(chunk) for _ in range(3)]
         for ptr in ptrs:
             gmac.free(ptr)
-        assert gmac.layer.gpu.memory.bytes_in_use == 0
+        assert gmac.layer.driver.gpu.memory.bytes_in_use == 0
 
 
 class TestTimingConsistency:

@@ -25,7 +25,6 @@ def _load(name):
         "coherence_protocols",
         "mri_pipeline",
         "portable_machines",
-        "multi_gpu_scheduler",
         "transfer_overlap_timeline",
     ],
 )
@@ -43,6 +42,5 @@ def test_examples_directory_is_covered():
         "coherence_protocols",
         "mri_pipeline",
         "portable_machines",
-        "multi_gpu_scheduler",
         "transfer_overlap_timeline",
     }

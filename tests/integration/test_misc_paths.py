@@ -3,16 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.os.paging import PAGE_SIZE, Prot, AccessKind, page_index
+from repro.os.paging import PAGE_SIZE, Prot, AccessKind
 from repro.hw.interconnect import Direction
 
 
 class TestPagingHelpers:
-    def test_page_index(self):
-        assert page_index(0x10000, 0x10000) == 0
-        assert page_index(0x10000, 0x10000 + PAGE_SIZE) == 1
-        assert page_index(0x10000, 0x10000 + PAGE_SIZE + 100) == 1
-
     def test_prot_flags_compose(self):
         assert Prot.RW == Prot.READ | Prot.WRITE
         assert Prot.NONE == 0
@@ -86,7 +81,7 @@ class TestSharedPtrHelpers:
     def test_fill_through_protection_path(self, gmac_factory):
         gmac = gmac_factory()
         ptr = gmac.alloc(PAGE_SIZE)
-        ptr.fill(0x61, 16)
+        gmac.process.fill(int(ptr), 0x61, 16)
         assert ptr.read_bytes(16) == b"a" * 16
 
     def test_device_addr_property(self, gmac_factory):

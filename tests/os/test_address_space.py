@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.util.errors import AddressError, AllocationError, ProtectionError
-from repro.os.paging import PAGE_SIZE, Prot, AccessKind, page_floor, page_ceil
+from repro.os.paging import PAGE_SIZE, Prot, AccessKind, page_ceil
 from repro.os.address_space import AddressSpace, MMAP_BASE
 
 
@@ -14,11 +14,6 @@ def space():
 
 
 class TestPagingHelpers:
-    def test_page_floor(self):
-        assert page_floor(0) == 0
-        assert page_floor(PAGE_SIZE - 1) == 0
-        assert page_floor(PAGE_SIZE) == PAGE_SIZE
-
     def test_page_ceil(self):
         assert page_ceil(0) == 0
         assert page_ceil(1) == PAGE_SIZE
@@ -218,11 +213,6 @@ class TestPrivilegedAccess:
         mapping = space.mmap(PAGE_SIZE)
         space.poke_fill(mapping.start, 0x7F, 16)
         assert space.peek(mapping.start, 16) == b"\x7f" * 16
-
-    def test_view(self, space):
-        mapping = space.mmap(PAGE_SIZE)
-        space.view(mapping.start, "i4", 4)[:] = [1, 2, 3, 4]
-        assert space.view(mapping.start, "i4", 4).tolist() == [1, 2, 3, 4]
 
     def test_unmapped_peek_rejected(self, space):
         with pytest.raises(AddressError):

@@ -1,6 +1,5 @@
 """The simulated filesystem over the disk model."""
 
-import numpy as np
 import pytest
 
 from repro.util.errors import IoError
@@ -37,7 +36,7 @@ class TestFiles:
         with fs.open("a.txt") as handle:
             assert handle.read(2) == b"ab"
             assert handle.read(2) == b"cd"
-            assert handle.tell() == 4
+            assert handle.position == 4
 
     def test_write_mode_truncates(self, fs):
         fs.create("a.txt", b"old contents")
@@ -51,17 +50,9 @@ class TestFiles:
             handle.write(b"two")
         assert fs.data_of("a.txt") == b"onetwo"
 
-    def test_seek(self, fs):
-        fs.create("a.txt", b"abcdef")
-        with fs.open("a.txt") as handle:
-            handle.seek(4)
-            assert handle.read(2) == b"ef"
-        with pytest.raises(IoError):
-            fs.open("a.txt").seek(-1)
-
     def test_write_extends_with_zeros(self, fs):
         with fs.open("b.bin", "w") as handle:
-            handle.seek(4)
+            handle.position = 4
             handle.write(b"x")
         assert fs.data_of("b.bin") == b"\x00\x00\x00\x00x"
 
@@ -70,11 +61,6 @@ class TestFiles:
             fs.open("nope")
         with pytest.raises(IoError):
             fs.data_of("nope")
-
-    def test_unlink(self, fs):
-        fs.create("a.txt", b"x")
-        fs.unlink("a.txt")
-        assert not fs.exists("a.txt")
 
     def test_mode_enforcement(self, fs):
         fs.create("a.txt", b"x")
@@ -91,17 +77,6 @@ class TestFiles:
         handle.close()
         with pytest.raises(IoError):
             handle.read(1)
-
-    def test_create_random_deterministic(self, fs):
-        first = fs.create_random("r1.bin", 1024, seed=5)
-        second = fs.create_random("r2.bin", 1024, seed=5)
-        assert np.array_equal(first, second)
-        assert fs.data_of("r1.bin") == fs.data_of("r2.bin")
-        assert fs.size_of("r1.bin") == 1024
-
-    def test_create_random_bad_size(self, fs):
-        with pytest.raises(IoError):
-            fs.create_random("r.bin", 1023)
 
 
 class TestTiming:

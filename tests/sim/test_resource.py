@@ -28,7 +28,6 @@ class TestScheduling:
         second = resource.schedule(3.0)
         assert second.start == first.finish
         assert second.finish == 5.0
-        assert second.queue_delay == 2.0
 
     def test_execute_blocks(self, clock, resource):
         resource.execute(1.5)
@@ -87,14 +86,6 @@ class TestDrainAndStats:
         resource.schedule(2.5)
         assert resource.busy_time == 3.5
         assert resource.operation_count == 2
-
-    def test_utilization(self, clock, resource):
-        resource.execute(1.0)
-        clock.advance(1.0)
-        assert resource.utilization() == pytest.approx(0.5)
-
-    def test_utilization_at_time_zero(self, resource):
-        assert resource.utilization() == 0.0
 
     def test_history_recording(self, resource):
         resource.record_history()

@@ -101,14 +101,6 @@ class TestTraceAndMerge:
         assert len(trace) == 2
         assert trace.by_category(Category.COPY)[0].label == "dma"
 
-    def test_merge(self, clock, accounting):
-        other = TimeAccounting(clock)
-        other.charge(Category.GPU, 2.0)
-        accounting.charge(Category.GPU, 1.0)
-        accounting.merge(other)
-        assert accounting.totals[Category.GPU] == 3.0
-        assert accounting.counts[Category.GPU] == 2
-
     def test_category_names_match_figure10(self):
         assert str(Category.CUDA_MALLOC) == "cudaMalloc"
         assert str(Category.IO_READ) == "IORead"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import render_table, render_series
+from repro.util.tables import render_table
 
 
 class TestRenderTable:
@@ -41,10 +41,3 @@ class TestRenderTable:
     def test_empty_rows(self):
         text = render_table(["a"], [])
         assert "a" in text
-
-
-class TestRenderSeries:
-    def test_pairs(self):
-        text = render_series("s", [1, 2], [10.0, 20.0], "x", "y")
-        assert text.splitlines()[0] == "s"
-        assert "10" in text and "20" in text

@@ -1,52 +1,8 @@
-"""Unit helpers: size parsing/formatting, time and bandwidth rendering."""
+"""Unit helpers: size and time rendering."""
 
 import pytest
 
-from repro.util.units import (
-    KB, MB, GB, parse_size, format_size, format_time, format_bandwidth,
-)
-
-
-class TestParseSize:
-    def test_plain_integer_passes_through(self):
-        assert parse_size(4096) == 4096
-
-    def test_zero(self):
-        assert parse_size(0) == 0
-
-    def test_negative_integer_rejected(self):
-        with pytest.raises(ValueError):
-            parse_size(-1)
-
-    @pytest.mark.parametrize(
-        "text, expected",
-        [
-            ("4KB", 4 * KB),
-            ("256KB", 256 * KB),
-            ("1MB", MB),
-            ("32MB", 32 * MB),
-            ("2GB", 2 * GB),
-            ("512B", 512),
-            ("512", 512),
-            ("4 MB", 4 * MB),
-            ("32mb", 32 * MB),
-            ("0.5MB", 512 * KB),
-        ],
-    )
-    def test_strings(self, text, expected):
-        assert parse_size(text) == expected
-
-    def test_fractional_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            parse_size("0.3KB")
-
-    def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            parse_size("lots")
-
-    def test_roundtrip_with_format(self):
-        for size in (4 * KB, 256 * KB, MB, 32 * MB, 3 * GB):
-            assert parse_size(format_size(size)) == size
+from repro.util.units import KB, MB, GB, format_size, format_time
 
 
 class TestFormatSize:
@@ -82,14 +38,3 @@ class TestFormatTime:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             format_time(-1e-3)
-
-
-class TestFormatBandwidth:
-    def test_gigabytes(self):
-        assert format_bandwidth(5.6 * GB).endswith("GBps")
-
-    def test_megabytes(self):
-        assert format_bandwidth(250 * MB) == "250.00MBps"
-
-    def test_bytes(self):
-        assert format_bandwidth(10) == "10.0Bps"

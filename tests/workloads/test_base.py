@@ -5,25 +5,7 @@ import pytest
 
 from repro.util.errors import ReproError
 from repro.experiments.common import make_workload
-from repro.workloads.base import ValueMemo, Workload, WorkloadResult
-from repro.workloads.vecadd import VectorAdd
-
-
-class TestWorkloadResult:
-    def _result(self, **overrides):
-        values = dict(
-            workload="demo", mode="gmac", protocol="rolling", elapsed=1.0,
-            breakdown={}, bytes_to_accelerator=0, bytes_to_host=0,
-            faults=0, signals=0, verified=True,
-        )
-        values.update(overrides)
-        return WorkloadResult(**values)
-
-    def test_gmac_label(self):
-        assert self._result().label == "GMAC rolling"
-
-    def test_cuda_label(self):
-        assert self._result(mode="cuda", protocol="-").label == "CUDA"
+from repro.workloads.base import ValueMemo, Workload
 
 
 class TestVerification:
@@ -96,34 +78,6 @@ class TestVerification:
                 return {"out": np.ones(4, dtype=np.float32)}
 
         assert Rounded().execute(mode="cuda").verified is True
-
-
-class TestRepeatedExecution:
-    def test_stats_over_varied_seeds(self):
-        workload = VectorAdd(elements=32 * 1024)
-        stats, results = workload.execute_stats(runs=3)
-        assert stats.count == 3
-        assert stats.mean > 0
-        # Different seeds, same structure: elapsed times are near-equal.
-        assert stats.relative_stdev < 0.05
-        assert all(result.verified for result in results)
-        seeds = {id(result) for result in results}
-        assert len(seeds) == 3
-
-    def test_repeat_params_preserve_sizes(self):
-        workload = VectorAdd(elements=32 * 1024, seed=11)
-        params = workload._repeat_params(2)
-        assert params["elements"] == 32 * 1024
-        assert params["seed"] == 13
-
-    def test_zero_runs_rejected(self):
-        with pytest.raises(ReproError):
-            VectorAdd(elements=1024).execute_stats(runs=0)
-
-    def test_failed_verification_raises(self):
-        workload = TestVerification.Lying()
-        with pytest.raises(ReproError):
-            workload.execute_stats(runs=1, mode="cuda")
 
 
 class TestValueMemoComparesBits:

@@ -10,7 +10,6 @@ from repro.workloads.npb import (
     generate_trace,
     analyze_trace,
     trace_summary,
-    bandwidth_series,
 )
 
 
@@ -90,15 +89,6 @@ class TestTraces:
 
 
 class TestSeries:
-    def test_bandwidth_series_matches_pointwise(self):
-        series = bandwidth_series("ua", [1, 5, 10])
-        spec = NPB_KERNELS["ua"]
-        assert series == [
-            spec.required_bandwidth(1),
-            spec.required_bandwidth(5),
-            spec.required_bandwidth(10),
-        ]
-
     def test_ua_at_ipc5_matches_pcie_scale(self):
         # ua at IPC 5 needs roughly PCIe-class bandwidth (Figure 2).
         needed = NPB_KERNELS["ua"].required_bandwidth(5)

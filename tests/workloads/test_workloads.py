@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.util.units import KB, MB
 from repro.hw.machine import reference_system, integrated_system
-from repro.workloads.vecadd import VectorAdd, transfer_phase_times
+from repro.workloads.vecadd import VectorAdd
 from repro.workloads.stencil3d import Stencil3D
 from repro.experiments.common import make_workload, QUICK_PARAMS
 from repro.workloads import base as workload_base
@@ -237,17 +237,18 @@ class TestVectorAdd:
         assert gmac.elapsed < buffered.elapsed * 1.15
 
     def test_phase_instrumentation(self):
-        phases = transfer_phase_times(64 * KB, elements=128 * 1024)
-        assert phases["verified"]
-        assert phases["cpu_to_gpu_s"] >= 0
-        assert phases["gpu_to_cpu_s"] >= 0
-        assert phases["faults"] > 0
-
-    def test_small_blocks_pay_more(self):
-        small = transfer_phase_times(4 * KB, elements=256 * 1024)
-        medium = transfer_phase_times(256 * KB, elements=256 * 1024)
-        assert small["cpu_to_gpu_s"] > medium["cpu_to_gpu_s"]
-        assert small["gpu_to_cpu_s"] > medium["gpu_to_cpu_s"]
+        workload = VectorAdd(elements=128 * 1024)
+        result = workload.execute(
+            mode="gmac", protocol="rolling",
+            gmac_options={
+                "protocol_options": {"block_size": 64 * KB, "rolling_size": 16},
+                "layer": "driver",
+            },
+        )
+        assert result.verified
+        assert workload.phases["cpu_to_gpu_s"] >= 0
+        assert workload.phases["gpu_to_cpu_s"] >= 0
+        assert result.faults > 0
 
 
 class TestStencil3D:
