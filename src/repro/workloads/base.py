@@ -34,6 +34,13 @@ from repro.core.api import Gmac
 #: other observable distinguishing "simulated quickly" from "not run".
 EXECUTIONS = 0
 
+#: Byte budget of each memo table below.  The largest single CLI sweep,
+#: ``all`` at the constructor defaults, holds 127 MiB of inputs and 50 MiB
+#: of oracle outputs (DESIGN.md §8), so no sweep evicts its own entries;
+#: a table over budget drops its oldest entries first, so a process that
+#: runs sweep after sweep at new seeds holds at most the budget.
+MEMO_BUDGET_BYTES = 192 << 20
+
 #: Memoized oracle outputs, keyed by workload class + constructor params.
 #: ``reference()`` is a pure function of the constructor arguments (every
 #: workload builds its inputs deterministically from them), while a figure
@@ -42,7 +49,6 @@ EXECUTIONS = 0
 #: identical oracle.  Cached arrays are marked read-only so verification
 #: can never corrupt a shared copy.
 _REFERENCE_CACHE = {}
-_REFERENCE_CACHE_MAX = 32
 
 #: Memoized deterministic inputs, keyed by an explicit per-workload key.
 #: Every constructor builds its input arrays as a pure function of the
@@ -52,7 +58,26 @@ _REFERENCE_CACHE_MAX = 32
 #: that mutated a shared input would raise instead of silently corrupting
 #: the next run.
 _INPUT_CACHE = {}
-_INPUT_CACHE_MAX = 64
+
+
+def _nbytes(value):
+    """Bytes of a memo entry's arrays: one array, a tuple or a dict."""
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, tuple):
+        return sum(array.nbytes for array in value)
+    return value.nbytes
+
+
+def _remember(table, key, value):
+    """Store ``value`` under ``key`` in ``table``, first dropping the
+    oldest entries until the table's arrays fit :data:`MEMO_BUDGET_BYTES`
+    with it.  An entry larger than the budget is kept alone."""
+    held = sum(_nbytes(kept) for kept in table.values()) + _nbytes(value)
+    while table and held > MEMO_BUDGET_BYTES:
+        held -= _nbytes(table.pop(next(iter(table))))
+    table[key] = value
+    return value
 
 
 def memoized_input(key, builder):
@@ -68,9 +93,7 @@ def memoized_input(key, builder):
         arrays = cached if isinstance(cached, tuple) else (cached,)
         for array in arrays:
             array.setflags(write=False)
-        while len(_INPUT_CACHE) >= _INPUT_CACHE_MAX:
-            _INPUT_CACHE.pop(next(iter(_INPUT_CACHE)))
-        _INPUT_CACHE[key] = cached
+        _remember(_INPUT_CACHE, key, cached)
     return cached
 
 
@@ -105,15 +128,21 @@ def _same_bits(given, kept):
 
 
 class ValueMemo:
-    """Byte-exact reuse of pure kernel evaluations.
+    """One evaluation of a pure numerics function per distinct input bytes.
 
     A figure sweep evaluates the same kernel numerics dozens of times —
     cuda vs gmac, per protocol, per block size — over identical device
-    bytes.  A hit here requires *every* input array to compare bit-equal
-    (:func:`_same_bits`) against a stored evaluation's inputs, so reuse
-    can never change an output byte: it only skips recomputing a result
-    already produced for the very same input bytes.  Inputs are
-    snapshotted at store time and outputs handed out read-only.
+    bytes, and the workload's oracle evaluates the same function once
+    more over the host arrays those device bytes were copied from.
+    :meth:`evaluate` is the one entry point both call: a hit requires
+    *every* input array to compare bit-equal (:func:`_same_bits`)
+    against a stored evaluation's inputs, so reuse can never change an
+    output byte: it only skips recomputing a result already produced for
+    the very same input bytes, in this process.  A kernel whose device
+    inputs a coherence bug changed misses, computes f(wrong bytes) and
+    fails verification against the oracle's f(right bytes), exactly as
+    with no memo.  Inputs are snapshotted at store time and outputs
+    handed out read-only.
 
     ``max_entries`` bounds the evaluations remembered per key (iterative
     kernels store one entry per distinct input state); entries whose
@@ -126,6 +155,18 @@ class ValueMemo:
         self.max_entries = max_entries
         self.max_entry_bytes = max_entry_bytes
         self._entries = {}
+
+    def evaluate(self, key, inputs, compute):
+        """The outputs of ``compute()`` over ``inputs``, computed at most
+        once per distinct input bytes under ``key``.
+
+        ``compute`` takes no arguments and returns a tuple of arrays that
+        depend on nothing but ``inputs`` and ``key``.
+        """
+        outputs = self.lookup(key, inputs)
+        if outputs is None:
+            outputs = self.store(key, inputs, compute())
+        return outputs
 
     def lookup(self, key, inputs):
         entries = self._entries.get(key)
@@ -345,9 +386,7 @@ class Workload(abc.ABC):
                 array = np.asarray(value)
                 array.setflags(write=False)
                 cached[name] = array
-            while len(_REFERENCE_CACHE) >= _REFERENCE_CACHE_MAX:
-                _REFERENCE_CACHE.pop(next(iter(_REFERENCE_CACHE)))
-            _REFERENCE_CACHE[key] = cached
+            _remember(_REFERENCE_CACHE, key, cached)
         return cached
 
     def _verify(self, outputs):

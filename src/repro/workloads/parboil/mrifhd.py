@@ -24,17 +24,25 @@ CPU_STREAM_RATE = 2.0e9
 _FHD_MEMO = ValueMemo()
 
 
+def fhd_values(samples, voxels):
+    """:func:`fhd_reference`'s (rFhD, iFhD) of ``(kx, ky, kz, phiR,
+    phiI)`` sample rows, once per distinct input bytes.
+
+    The kernel calls it on its device views and the oracle on the host
+    arrays they were read from; both get one evaluation.
+    """
+    return _FHD_MEMO.evaluate(
+        (samples.shape[0], voxels.shape[0]), (samples, voxels),
+        lambda: fhd_reference(
+            samples[:, :3], samples[:, 3], samples[:, 4], voxels
+        ),
+    )
+
+
 def _fhd_fn(gpu, samples, voxels, r_out, i_out, n_samples, n_voxels):
     rows = gpu.view(samples, "f4", 5 * n_samples).reshape(n_samples, 5)
     coords = gpu.view(voxels, "f4", 3 * n_voxels).reshape(n_voxels, 3)
-    inputs = (rows, coords)
-    cached = _FHD_MEMO.lookup((n_samples, n_voxels), inputs)
-    if cached is None:
-        cached = _FHD_MEMO.store(
-            (n_samples, n_voxels), inputs,
-            fhd_reference(rows[:, :3], rows[:, 3], rows[:, 4], coords),
-        )
-    r_fhd, i_fhd = cached
+    r_fhd, i_fhd = fhd_values(rows, coords)
     gpu.view(r_out, "f4", n_voxels)[:] = r_fhd
     gpu.view(i_out, "f4", n_voxels)[:] = i_fhd
 
@@ -92,10 +100,7 @@ class MriFhd(Workload):
         app.fs.create(self.VOXELS_FILE, self.voxels.tobytes())
 
     def reference(self):
-        r_fhd, i_fhd = fhd_reference(
-            self.samples[:, :3], self.samples[:, 3], self.samples[:, 4],
-            self.voxels,
-        )
+        r_fhd, i_fhd = fhd_values(self.samples, self.voxels)
         return {self.OUTPUT: np.concatenate([r_fhd, i_fhd])}
 
     def _output(self, app):

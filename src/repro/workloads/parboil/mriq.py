@@ -23,18 +23,23 @@ CPU_STREAM_RATE = 2.0e9
 _Q_MEMO = ValueMemo()
 
 
+def q_values(k_coords, phi_mag, voxels):
+    """:func:`q_reference`'s (rQ, iQ), once per distinct input bytes.
+
+    The kernel calls it on its device views and the oracle on the host
+    arrays they were read from; both get one evaluation.
+    """
+    return _Q_MEMO.evaluate(
+        (k_coords.shape[0], voxels.shape[0]), (k_coords, phi_mag, voxels),
+        lambda: q_reference(k_coords, phi_mag, voxels),
+    )
+
+
 def _q_fn(gpu, k_coords, phi_mag, voxels, q_out, n_samples, n_voxels):
     coords_k = gpu.view(k_coords, "f4", 3 * n_samples).reshape(n_samples, 3)
     magnitude = gpu.view(phi_mag, "f4", n_samples)
     coords_v = gpu.view(voxels, "f4", 3 * n_voxels).reshape(n_voxels, 3)
-    inputs = (coords_k, magnitude, coords_v)
-    cached = _Q_MEMO.lookup((n_samples, n_voxels), inputs)
-    if cached is None:
-        cached = _Q_MEMO.store(
-            (n_samples, n_voxels), inputs,
-            q_reference(coords_k, magnitude, coords_v),
-        )
-    r_q, i_q = cached
+    r_q, i_q = q_values(coords_k, magnitude, coords_v)
     out = gpu.view(q_out, "f4", 2 * n_voxels)
     out[:n_voxels] = r_q
     out[n_voxels:] = i_q
@@ -112,7 +117,7 @@ class MriQ(Workload):
         app.fs.create(self.VOXELS_FILE, self.voxels.tobytes())
 
     def reference(self):
-        r_q, _ = q_reference(self.k_coords, self.phi_mag, self.voxels)
+        r_q, _ = q_values(self.k_coords, self.phi_mag, self.voxels)
         prefix = self._prefix_voxels
         return {self.OUTPUT: np.abs(r_q[:prefix])}
 

@@ -203,15 +203,12 @@ def _pns_batched(gpu, launches):
     seeds = weights[iterations % 1024] & np.int32(0xFFFF)
     key = (n_places, len(launches))
     inputs = (marking, seeds, iterations)
-    cached = _SWEEP_MEMO.lookup(key, inputs)
-    if cached is None:
-        cached = _SWEEP_MEMO.store(
-            key, inputs, (fire_rounds(marking, seeds),)
-        )
-    marking[:] = cached[0]
+    (final,) = _SWEEP_MEMO.evaluate(
+        key, inputs, lambda: (fire_rounds(marking, seeds),)
+    )
+    marking[:] = final
     _write_stats(
-        gpu.view(first["stats"], "i4", 16), cached[0],
-        launches[-1]["iteration"],
+        gpu.view(first["stats"], "i4", 16), final, launches[-1]["iteration"]
     )
 
 

@@ -43,18 +43,25 @@ def sad_reference(current, reference, search):
 _SAD_MEMO = ValueMemo()
 
 
+def sad_table(current, reference, search):
+    """:func:`sad_reference`, flattened, once per distinct frame bytes.
+
+    The kernel calls it on its device views of the frames and the oracle
+    on the host frames they were read from; both get one evaluation.
+    """
+    height, width = current.shape
+    return _SAD_MEMO.evaluate(
+        (width, height, search), (current, reference),
+        lambda: (sad_reference(current, reference, search).ravel(),),
+    )[0]
+
+
 def _sad_fn(gpu, current, reference, sads, width, height, search):
     cur = gpu.view(current, "u1", width * height).reshape(height, width)
     ref = gpu.view(reference, "u1", width * height).reshape(height, width)
     blocks = (height // MACROBLOCK) * (width // MACROBLOCK)
     out = gpu.view(sads, "i4", blocks * search * search)
-    key = (width, height, search)
-    cached = _SAD_MEMO.lookup(key, (cur, ref))
-    if cached is None:
-        cached = _SAD_MEMO.store(
-            key, (cur, ref), (sad_reference(cur, ref, search).ravel(),)
-        )
-    out[:] = cached[0]
+    out[:] = sad_table(cur, ref, search)
 
 
 #: ~3 ops per pixel per search offset.
@@ -113,8 +120,9 @@ class SumAbsoluteDifferences(Workload):
         app.fs.create(self.REFERENCE_FILE, self.reference_frame.tobytes())
 
     def reference(self):
-        table = sad_reference(self.current, self.reference_frame, self.search)
-        return {self.OUTPUT: table.ravel()}
+        return {self.OUTPUT: sad_table(
+            self.current, self.reference_frame, self.search
+        )}
 
     def _output(self, app):
         raw = app.fs.data_of(self.OUTPUT)

@@ -65,11 +65,11 @@ def init_pass(rows, pass_index):
         raise ValueError(f"no pass {pass_index}")
 
 
-def angular_histogram(rows):
-    """Histogram of pairwise angular separations over the kernel subset."""
-    subset = rows[::SUBSET_STRIDE, :3].astype(np.float64)
-    dots = np.clip(subset @ subset.T, -1.0, 1.0)
-    upper = np.triu_indices(len(subset), k=1)
+def angular_histogram(subset):
+    """Histogram of pairwise angular separations of (x, y, z) rows."""
+    points = subset.astype(np.float64)
+    dots = np.clip(points @ points.T, -1.0, 1.0)
+    upper = np.triu_indices(len(points), k=1)
     angles = np.arccos(dots[upper])
     histogram, _ = np.histogram(angles, bins=BINS, range=(0.0, np.pi))
     return histogram.astype(np.int64)
@@ -78,14 +78,24 @@ def angular_histogram(rows):
 _HISTOGRAM_MEMO = ValueMemo()
 
 
+def correlation_histogram(rows):
+    """:func:`angular_histogram` of the kernel subset of point ``rows``
+    (every :data:`SUBSET_STRIDE`-th body), once per distinct subset bytes.
+
+    Keyed on the subset alone, the bytes the kernel reads: a paper-scale
+    entry holds 8 KiB of rows instead of the 8 MiB point set, under the
+    memo's entry cap.  The kernel calls it on its device view and the
+    oracle on the host rows; both get one evaluation.
+    """
+    subset = rows[::SUBSET_STRIDE, :3]
+    return _HISTOGRAM_MEMO.evaluate(
+        rows.shape[0], (subset,), lambda: (angular_histogram(subset),)
+    )[0]
+
+
 def _tpacf_fn(gpu, points, bins, n_points):
     rows = gpu.view(points, "f4", 4 * n_points).reshape(n_points, 4)
-    cached = _HISTOGRAM_MEMO.lookup(n_points, (rows,))
-    if cached is None:
-        cached = _HISTOGRAM_MEMO.store(
-            n_points, (rows,), (angular_histogram(rows),)
-        )
-    gpu.view(bins, "i8", BINS)[:] = cached[0]
+    gpu.view(bins, "i8", BINS)[:] = correlation_histogram(rows)
 
 
 def _tpacf_batched(gpu, launches):
@@ -152,11 +162,9 @@ class Tpacf(Workload):
             ("tpacf-init", self.n_points, self.seed), build
         )
 
-    def _initialized_points(self):
-        return self._init_snapshots()[-1]
-
     def reference(self):
-        return {self.OUTPUT: angular_histogram(self._initialized_points())}
+        points = self._init_snapshots()[-1]
+        return {self.OUTPUT: correlation_histogram(points)}
 
     def _output(self, app):
         raw = app.fs.data_of(self.OUTPUT)

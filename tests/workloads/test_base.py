@@ -1,11 +1,16 @@
 """The workload harness itself."""
 
+import collections
+
 import numpy as np
 import pytest
 
 from repro.util.errors import ReproError
-from repro.experiments.common import make_workload
+from repro.experiments.common import QUICK_PARAMS, make_workload
+from repro.experiments.executor import expand
+from repro.workloads import base as workload_base
 from repro.workloads.base import ValueMemo, Workload
+from repro.workloads.parboil import PARBOIL
 
 
 class TestVerification:
@@ -101,3 +106,63 @@ class TestValueMemoComparesBits:
         inputs = (np.array([1.0, np.nan, 3.0], dtype=np.complex64),)
         memo, outputs = self._memo(inputs)
         assert memo.lookup("k", (inputs[0].copy(),)) is outputs
+
+
+class _CountingTable(dict):
+    """A memo table that counts how often each key is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = collections.Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+class TestMemoBudget:
+    """The input and oracle memos hold at most ``MEMO_BUDGET_BYTES`` of
+    arrays each and drop their oldest entries first."""
+
+    NAMES = ("cp", "mri-fhd", "mri-q", "sad")
+
+    @staticmethod
+    def _held(table):
+        return sum(workload_base._nbytes(value) for value in table.values())
+
+    def _pass(self, seed):
+        """Each workload's inputs and oracle at ``seed``, as one pass of
+        a benchmark run at moving seeds builds them."""
+        for name in self.NAMES:
+            PARBOIL[name](**QUICK_PARAMS[name], seed=seed)._reference_outputs()
+
+    def test_moving_seed_passes_stay_under_budget(self, monkeypatch):
+        tables = (_CountingTable(), _CountingTable())
+        monkeypatch.setattr(workload_base, "_INPUT_CACHE", tables[0])
+        monkeypatch.setattr(workload_base, "_REFERENCE_CACHE", tables[1])
+        self._pass(seed=100)
+        one_pass = max(self._held(table) for table in tables)
+        # Room for one pass and a half: a count bound would keep them all.
+        budget = 3 * one_pass // 2
+        monkeypatch.setattr(workload_base, "MEMO_BUDGET_BYTES", budget)
+        for seed in range(101, 105):
+            self._pass(seed)
+            for table in tables:
+                assert 0 < self._held(table) <= budget
+        # The newest pass survives whole: running it again stores nothing.
+        stores = [sum(table.stores.values()) for table in tables]
+        self._pass(seed=104)
+        assert [sum(table.stores.values()) for table in tables] == stores
+
+    def test_one_sweep_builds_each_input_once(self, monkeypatch):
+        inputs, oracles = _CountingTable(), _CountingTable()
+        monkeypatch.setattr(workload_base, "_INPUT_CACHE", inputs)
+        monkeypatch.setattr(workload_base, "_REFERENCE_CACHE", oracles)
+        specs = expand(["fig7"], quick=True)
+        for spec in specs:
+            assert spec.execute().verified, spec.key()
+        assert len(oracles.stores) == len(PARBOIL)
+        for table in (inputs, oracles):
+            assert set(table.stores.values()) == {1}
+            assert set(table) == set(table.stores)
+            assert self._held(table) <= workload_base.MEMO_BUDGET_BYTES

@@ -4,6 +4,8 @@ These are the correctness gates behind Figures 7-12: a protocol bug shows
 up here as a numerical mismatch.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +17,10 @@ from repro.workloads.stencil3d import Stencil3D
 from repro.experiments.common import make_workload, QUICK_PARAMS
 from repro.workloads import base as workload_base
 from repro.workloads.base import ValueMemo
-from repro.workloads.parboil import PARBOIL, pns, sad
+from repro.workloads import stencil3d
+from repro.workloads.parboil import (
+    PARBOIL, cp, mrifhd, mriq, pns, sad, tpacf,
+)
 
 MODES = [("cuda", None), ("gmac", "batch"), ("gmac", "lazy"),
          ("gmac", "rolling")]
@@ -145,66 +150,127 @@ class TestPnsTiledOracle:
         assert reference["final_marking"].tobytes() == marking.tobytes()
 
 
-class TestSadValueReuse:
-    """The sad kernel reuses its result across a sweep's variants."""
+@dataclass(frozen=True)
+class _Shared:
+    """A workload whose kernel and oracle share one memoized evaluation.
+
+    ``function`` is the pure numerics function in ``module``, evaluated
+    ``evaluations`` times by an intact run (once per distinct input); the
+    flip XORs ``mask`` into element ``index`` of the ``dtype`` view of the
+    kernel argument ``argument``, an input the function reads.
+    """
+
+    make: object
+    module: object
+    memo: str
+    function: str
+    kernel: object
+    argument: str
+    dtype: str
+    index: int
+    mask: int
+    evaluations: int = 1
+
+
+SIGN = 1 << 31
+
+SHARED = {
+    "cp": _Shared(
+        lambda: make_workload("cp", quick=True), cp, "_POTENTIAL_MEMO",
+        "coulomb_reference", cp.CP_KERNEL, "atoms", "u4", 3, SIGN,
+    ),
+    "sad": _Shared(
+        lambda: make_workload("sad", quick=True), sad, "_SAD_MEMO",
+        "sad_reference", sad.SAD_KERNEL, "reference", "u1", 7, 0x80,
+    ),
+    "mri-q": _Shared(
+        lambda: make_workload("mri-q", quick=True), mriq, "_Q_MEMO",
+        "q_reference", mriq.Q_KERNEL, "phi_mag", "u4", 0, SIGN,
+    ),
+    "mri-fhd": _Shared(
+        lambda: make_workload("mri-fhd", quick=True), mrifhd, "_FHD_MEMO",
+        "fhd_reference", mrifhd.FHD_KERNEL, "samples", "u4", 3, SIGN,
+    ),
+    "tpacf": _Shared(
+        lambda: make_workload("tpacf", quick=True), tpacf,
+        "_HISTOGRAM_MEMO", "angular_histogram", tpacf.TPACF_KERNEL,
+        "points", "u4", 0, SIGN,
+    ),
+    "3d-stencil": _Shared(
+        lambda: Stencil3D(n=24, steps=4, dump_interval=2), stencil3d,
+        "_STEP_MEMO", "stencil_reference_step", stencil3d.STENCIL,
+        "vin", "u4", 24 ** 3 // 2, SIGN, evaluations=4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+class TestSharedEvaluation:
+    """The kernel and the oracle evaluate one pure function once per
+    distinct input bytes, and a changed device input bit still fails."""
 
     @staticmethod
-    def _counting_memo(monkeypatch):
-        memo = ValueMemo()
-        stores = []
-        store = memo.store
+    def _isolate(monkeypatch, case):
+        """A fresh memo and oracle cache; returns the memo and a list
+        that grows by one per call of the pure function."""
+        kept = getattr(case.module, case.memo)
+        memo = ValueMemo(kept.max_entries, kept.max_entry_bytes)
+        monkeypatch.setattr(case.module, case.memo, memo)
+        monkeypatch.setattr(workload_base, "_REFERENCE_CACHE", {})
+        function = getattr(case.module, case.function)
+        calls = []
 
-        def counting(key, inputs, outputs):
-            stores.append(key)
-            return store(key, inputs, outputs)
+        def counted(*args):
+            calls.append(1)
+            return function(*args)
 
-        memo.store = counting
-        monkeypatch.setattr(sad, "_SAD_MEMO", memo)
-        return stores
+        monkeypatch.setattr(case.module, case.function, counted)
+        return memo, calls
 
-    def test_one_evaluation_across_modes_and_protocols(self, monkeypatch):
-        stores = self._counting_memo(monkeypatch)
-        for mode, protocol in [
-            ("cuda", None), ("gmac", "batch"), ("gmac", "lazy"),
-            ("gmac", "rolling"),
-        ]:
-            result = make_workload("sad", quick=True).execute(
+    def test_one_evaluation_per_input(self, name, monkeypatch):
+        case = SHARED[name]
+        _, calls = self._isolate(monkeypatch, case)
+        for mode, protocol in MODES:
+            result = case.make().execute(
                 mode=mode, protocol=protocol or "rolling"
             )
             assert result.verified, (mode, protocol)
-        assert len(stores) == 1
+        case.make().reference()
+        assert len(calls) == case.evaluations
 
-    def test_changed_frame_byte_misses(self, monkeypatch):
-        stores = self._counting_memo(monkeypatch)
-        workload = make_workload("sad", quick=True)
-        frames = {
-            "cur": workload.current.copy(),
-            "ref": workload.reference_frame.copy(),
-        }
-        sads = np.zeros(workload.sads_bytes // 4, dtype=np.int32)
+    def test_flipped_device_bit_fails(self, name, monkeypatch):
+        case = SHARED[name]
+        memo, calls = self._isolate(monkeypatch, case)
+        flipped = []
 
-        class _Device:
-            def view(self, name, dtype, count):
-                buffer = sads if name == "out" else frames[name]
-                return buffer.reshape(-1).view(dtype)[:count]
+        def flip(gpu, args):
+            # Once, before the kernel's first read: a device byte that
+            # no longer equals the host byte it was uploaded from.
+            if not flipped:
+                view = gpu.memory.view(
+                    args[case.argument], case.dtype, case.index + 1
+                )
+                view[case.index] ^= view.dtype.type(case.mask)
+                flipped.append(1)
 
-        def launch():
-            sad.SAD_KERNEL.fn(
-                _Device(), current="cur", reference="ref", sads="out",
-                width=workload.width, height=workload.height,
-                search=workload.search,
-            )
-            return sads.copy()
+        fn, batched = case.kernel.fn, case.kernel.batched_fn
 
-        first = launch()
-        assert np.array_equal(launch(), first)
-        assert len(stores) == 1
-        frames["ref"][5, 7] ^= 1
-        changed = launch()
-        assert len(stores) == 2
-        assert np.array_equal(changed, sad.sad_reference(
-            frames["cur"], frames["ref"], workload.search
-        ).ravel())
+        def flipping(gpu, **args):
+            flip(gpu, args)
+            fn(gpu, **args)
+
+        def flipping_batch(gpu, launches):
+            flip(gpu, launches[0])
+            batched(gpu, launches)
+
+        monkeypatch.setattr(case.kernel, "fn", flipping)
+        if batched is not None:
+            monkeypatch.setattr(case.kernel, "batched_fn", flipping_batch)
+        result = case.make().execute(mode="gmac", protocol="rolling")
+        assert flipped
+        assert not result.verified
+        held = sum(len(entries) for entries in memo._entries.values())
+        assert held == len(calls) == 2 * case.evaluations
 
 
 class TestVectorAdd:
